@@ -2,8 +2,9 @@
 // costs behind one GA evaluation (transform, simulate, accuracy, surrogate
 // predict) and the search itself. These bound the wall-clock of the
 // paper-scale 12k-evaluation search. A custom main() additionally times the
-// scalar vs SoA batch-characterizer paths head to head and emits
-// ns/sublayer into BENCH.json (informational, not gated).
+// scalar vs SoA batch-characterizer paths head to head and one cold
+// surrogate fit, and emits ns/sublayer and the fit's milliseconds into
+// BENCH.json (informational, not gated).
 
 #include <benchmark/benchmark.h>
 
@@ -171,7 +172,7 @@ BENCHMARK(bm_batch_characterize_soa);
 
 /// Head-to-head ns/sublayer for BENCH.json (informational; the gbench
 /// counters above give the same numbers interactively).
-void emit_soa_ns_per_sublayer() {
+void emit_soa_ns_per_sublayer(bench::json_reporter& json) {
   auto& f = fx();
   const plan_batch& b = shared_batch();
   constexpr int kReps = 50;
@@ -198,10 +199,25 @@ void emit_soa_ns_per_sublayer() {
 
   std::printf("\nbatch characterization: scalar %.1f ns/sublayer, SoA %.1f ns/sublayer (%.2fx)\n",
               scalar_ns, soa_ns, scalar_ns / soa_ns);
-  bench::json_reporter json{"micro_primitives"};
   json.metric("scalar_ns_per_sublayer", scalar_ns);
   json.metric("soa_ns_per_sublayer", soa_ns);
   json.metric("soa_cell_speedup", scalar_ns / soa_ns);
+}
+
+/// One cold session's training cost: a default-parameter `hw_predictor`
+/// (two 120-tree GBT fits) over a 4000-row benchmark dataset, in ms.
+void emit_surrogate_fit_ms(bench::json_reporter& json) {
+  auto& f = fx();
+  surrogate::benchmark_options bopt;
+  bopt.samples = 4000;
+  const surrogate::dataset ds = surrogate::generate_benchmark({&f.net}, f.plat, bopt);
+  const auto t0 = std::chrono::steady_clock::now();
+  const surrogate::hw_predictor pred{ds};
+  const double fit_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  benchmark::DoNotOptimize(pred);
+  std::printf("surrogate fit (4000 rows, default gbt_params): %.1f ms\n", fit_ms);
+  json.metric("surrogate_fit_ms", fit_ms);
 }
 
 }  // namespace
@@ -211,6 +227,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  emit_soa_ns_per_sublayer();
+  bench::json_reporter json{"micro_primitives"};
+  emit_soa_ns_per_sublayer(json);
+  emit_surrogate_fit_ms(json);
   return 0;
 }

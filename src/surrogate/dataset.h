@@ -53,8 +53,9 @@ struct benchmark_options {
 /// networks' layers and labels them with the analytic models + noise.
 /// Deterministic per (nets, plat, opt). Borrows the networks/platform for
 /// the call only. Blocking: runs `opt.samples` analytic evaluations on the
-/// calling thread — this is the expensive half of surrogate training, which
-/// is why serving sessions do it once and reuse the predictor.
+/// calling thread. Cheap next to the GBT fit that consumes it (a few ms
+/// against hundreds of ms for the default 5000 rows); serving sessions
+/// still do both once and reuse the predictor.
 [[nodiscard]] dataset generate_benchmark(const std::vector<const nn::network*>& nets,
                                          const soc::platform& plat,
                                          const benchmark_options& opt = {});

@@ -17,6 +17,8 @@ fitted_ensemble gbt_trainer::fit(std::span<const std::vector<double>> x,
   if (params_.subsample <= 0.0 || params_.subsample > 1.0)
     throw std::invalid_argument("gbt_trainer: subsample out of (0,1]");
 
+  // Sorted once here; every tree below only filters and partitions it.
+  const presorted_columns block{x};
   const std::size_t n = x.size();
   std::vector<double> target(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -52,7 +54,7 @@ fitted_ensemble gbt_trainer::fit(std::span<const std::vector<double>> x,
       rows = all_rows;
     }
 
-    out.trees.emplace_back(x, residual, rows, params_.tree);
+    out.trees.emplace_back(block, residual, rows, params_.tree);
     for (std::size_t i = 0; i < n; ++i)
       pred[i] += params_.learning_rate * out.trees.back().predict(x[i]);
   }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the CI bench suite (the eight acceptance benches plus the filtered
-# scalar-vs-SoA characterizer head-to-head), merges their JSON
+# micro_primitives run: the scalar-vs-SoA characterizer head-to-head and
+# the surrogate training cost), merges their JSON
 # metric emissions into one BENCH.json artifact, and — when BENCH_BASELINE
 # is set — fails on any gated regression (see tools/compare_bench.py).
 #
@@ -31,10 +32,12 @@ for b in "${benches[@]}"; do
   echo
 done
 
-# Scalar-vs-SoA characterizer head-to-head (informational ns/sublayer);
-# filtered so only the two batch_characterize benchmarks run.
-echo "=== bench: micro_primitives (batch characterizer) ==="
-MAPCQ_BENCH_JSON=$jsonl "$build_dir/bench/micro_primitives" --benchmark_filter='batch_characterize'
+# Scalar-vs-SoA characterizer head-to-head (informational ns/sublayer) and
+# surrogate training cost (informational surrogate_fit_ms); filtered so only
+# the batch_characterize and surrogate_train benchmarks run.
+echo "=== bench: micro_primitives (batch characterizer, surrogate fit) ==="
+MAPCQ_BENCH_JSON=$jsonl "$build_dir/bench/micro_primitives" \
+  --benchmark_filter='batch_characterize|surrogate_train'
 echo
 
 args=("$jsonl" --out "$out")
