@@ -2,9 +2,10 @@
 // costs behind one GA evaluation (transform, simulate, accuracy, surrogate
 // predict) and the search itself. These bound the wall-clock of the
 // paper-scale 12k-evaluation search. A custom main() additionally times the
-// scalar vs SoA batch-characterizer paths head to head and one cold
-// surrogate fit, and emits ns/sublayer and the fit's milliseconds into
-// BENCH.json (informational, not gated).
+// scalar vs SoA batch-characterizer paths head to head, one cold surrogate
+// fit and the surrogate-backed evaluate, and emits ns/sublayer, the fit's
+// milliseconds and microseconds per surrogate evaluation into BENCH.json
+// (informational, not gated).
 
 #include <benchmark/benchmark.h>
 
@@ -205,8 +206,10 @@ void emit_soa_ns_per_sublayer(bench::json_reporter& json) {
 }
 
 /// One cold session's training cost: a default-parameter `hw_predictor`
-/// (two 120-tree GBT fits) over a 4000-row benchmark dataset, in ms.
-void emit_surrogate_fit_ms(bench::json_reporter& json) {
+/// (two 120-tree GBT fits) over a 4000-row benchmark dataset, in ms. Then
+/// what that predictor costs per surrogate-backed `evaluator::evaluate`
+/// over a fixed seeded set of decoded configurations, in us.
+void emit_surrogate_costs(bench::json_reporter& json) {
   auto& f = fx();
   surrogate::benchmark_options bopt;
   bopt.samples = 4000;
@@ -218,6 +221,25 @@ void emit_surrogate_fit_ms(bench::json_reporter& json) {
   benchmark::DoNotOptimize(pred);
   std::printf("surrogate fit (4000 rows, default gbt_params): %.1f ms\n", fit_ms);
   json.metric("surrogate_fit_ms", fit_ms);
+
+  core::evaluator_options opt;
+  opt.predictor = &pred;
+  const core::evaluator ev{f.net, f.plat, opt};
+  const core::search_space space{f.net, f.plat};
+  util::rng gen{29};
+  std::vector<core::configuration> configs;
+  for (int i = 0; i < 64; ++i) configs.push_back(space.decode(space.random(gen)));
+  for (const core::configuration& c : configs) benchmark::DoNotOptimize(ev.evaluate(c));
+  constexpr int kReps = 5;
+  const auto t1 = std::chrono::steady_clock::now();
+  for (int r = 0; r < kReps; ++r)
+    for (const core::configuration& c : configs) benchmark::DoNotOptimize(ev.evaluate(c));
+  const double eval_us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t1).count() /
+      static_cast<double>(kReps * configs.size());
+  std::printf("surrogate-backed evaluate (%zu configurations): %.1f us\n", configs.size(),
+              eval_us);
+  json.metric("surrogate_eval_us", eval_us);
 }
 
 }  // namespace
@@ -229,6 +251,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   bench::json_reporter json{"micro_primitives"};
   emit_soa_ns_per_sublayer(json);
-  emit_surrogate_fit_ms(json);
+  emit_surrogate_costs(json);
   return 0;
 }

@@ -19,26 +19,6 @@ std::vector<std::int64_t> widths_of(const std::vector<nn::partition_group>& grou
   return w;
 }
 
-/// Builds the per-step cost grid from the GBT surrogate.
-perf::step_costs predict_costs(const perf::stage_plan& plan, const soc::platform& plat,
-                               const surrogate::hw_predictor& predictor) {
-  const std::size_t concurrency = plan.active_stages();
-  perf::step_costs costs;
-  costs.tau_ms.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
-  costs.energy_mj.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
-  for (std::size_t i = 0; i < plan.stages(); ++i) {
-    const soc::compute_unit& cu = plat.unit(plan.cu_of_stage[i]);
-    const std::size_t level = plan.dvfs_level[plan.cu_of_stage[i]];
-    for (std::size_t j = 0; j < plan.groups(); ++j) {
-      const auto& cost = plan.steps[i][j].cost;
-      if (cost.empty()) continue;
-      costs.tau_ms[i][j] = predictor.latency_ms(cost, cu, level, concurrency);
-      costs.energy_mj[i][j] = predictor.energy_mj(cost, cu, level, concurrency);
-    }
-  }
-  return costs;
-}
-
 /// Exit outcome of a static (single-exit) deployment: every sample runs all
 /// stages; the last exit classifies.
 data::exit_outcome static_exits(double last_acc_pct, std::size_t stages,
@@ -55,6 +35,45 @@ data::exit_outcome static_exits(double last_acc_pct, std::size_t stages,
 }
 
 }  // namespace
+
+perf::step_costs predict_costs(const perf::stage_plan& plan, const soc::platform& plat,
+                               const surrogate::hw_predictor& predictor) {
+  const std::size_t concurrency = plan.active_stages();
+  perf::step_costs costs;
+  costs.tau_ms.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
+  costs.energy_mj.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
+
+  // Gather: one feature row per non-empty cell, in (stage, group) order.
+  std::vector<double> rows;
+  rows.reserve(plan.stages() * plan.groups() * surrogate::feature_count);
+  for (std::size_t i = 0; i < plan.stages(); ++i) {
+    const soc::compute_unit& cu = plat.unit(plan.cu_of_stage[i]);
+    const std::size_t level = plan.dvfs_level[plan.cu_of_stage[i]];
+    for (std::size_t j = 0; j < plan.groups(); ++j) {
+      const perf::sublayer_cost& cost = plan.steps[i][j].cost;
+      if (cost.empty()) continue;
+      const auto f = surrogate::featurize(cost, cu, level, concurrency);
+      rows.insert(rows.end(), f.begin(), f.end());
+    }
+  }
+
+  // Score: one batched call fills both heads.
+  const std::size_t n = rows.size() / surrogate::feature_count;
+  std::vector<double> tau(n);
+  std::vector<double> energy(n);
+  predictor.predict(rows, tau, energy);
+
+  // Scatter, walking the cells in the same order.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < plan.stages(); ++i)
+    for (std::size_t j = 0; j < plan.groups(); ++j) {
+      if (plan.steps[i][j].cost.empty()) continue;
+      costs.tau_ms[i][j] = tau[k];
+      costs.energy_mj[i][j] = energy[k];
+      ++k;
+    }
+  return costs;
+}
 
 evaluator::evaluator(const nn::network& net, const soc::platform& plat, evaluator_options opt,
                      std::uint64_t ranking_seed)
@@ -104,8 +123,10 @@ std::vector<evaluation> evaluator::evaluate_batch(
   std::vector<evaluation> out;
   out.reserve(configs.size());
   if (opt_.predictor != nullptr) {
-    // Surrogate costs come from per-cell GBT queries; there is no batched
-    // form, so this path is the scalar pipeline verbatim.
+    // Surrogate costs are already batched per configuration: `evaluate`
+    // scores all of a plan's cells in one tree-major pass per head, enough
+    // rows to keep each tree hot. So this path is the scalar pipeline
+    // verbatim.
     for (const configuration* config : configs) out.push_back(evaluate(*config));
     return out;
   }

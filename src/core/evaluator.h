@@ -84,6 +84,15 @@ struct evaluation {
   std::vector<double> exit_fractions;     ///< per-stage exit shares
 };
 
+/// Surrogate cost grid of one resolved plan (paper §V-E): featurizes every
+/// non-empty (stage, group) cell once, scores them all in one batched
+/// `hw_predictor::predict`, and scatters the results into the grid. Empty
+/// cells are 0 and never queried. This is what `evaluator::evaluate` feeds
+/// `perf::simulate_costed` when a predictor is set.
+[[nodiscard]] perf::step_costs predict_costs(const perf::stage_plan& plan,
+                                             const soc::platform& plat,
+                                             const surrogate::hw_predictor& predictor);
+
 /// Reusable, thread-safe (const) evaluator bound to one network + platform.
 class evaluator {
  public:
@@ -99,8 +108,9 @@ class evaluator {
   /// result and profile before the per-candidate accuracy/objective/
   /// constraint logic runs. Results are bit-identical to calling
   /// `evaluate` element-wise (differential-tested); surrogate-backed
-  /// evaluators (`predictor != nullptr`) fall back to exactly that
-  /// element-wise loop, as the GBT path has no batched form.
+  /// evaluators (`predictor != nullptr`) run exactly that element-wise
+  /// loop, since `evaluate` already scores each configuration's cells as
+  /// one batch (see `predict_costs`).
   ///
   /// Throws whatever the first failing element's `evaluate` would throw;
   /// on any throw no results are returned (all-or-nothing).

@@ -126,10 +126,16 @@ regression_tree::regression_tree(std::span<const std::vector<double>> x,
 regression_tree::regression_tree(std::vector<node> nodes, int depth)
     : nodes_(std::move(nodes)), depth_(depth) {
   if (nodes_.empty()) throw std::invalid_argument("regression_tree: empty node array");
-  for (const node& n : nodes_) {
+  std::vector<std::uint8_t> has_parent(nodes_.size(), 0);
+  for (std::size_t k = 0; k < nodes_.size(); ++k) {
+    const node& n = nodes_[k];
     if (n.leaf) continue;
     if (n.left >= nodes_.size() || n.right >= nodes_.size())
       throw std::invalid_argument("regression_tree: child index out of range");
+    if (n.left <= k || n.right <= k)
+      throw std::invalid_argument("regression_tree: child index does not follow its parent");
+    if (has_parent[n.left]++ != 0 || has_parent[n.right]++ != 0)
+      throw std::invalid_argument("regression_tree: node has two parents");
   }
 }
 

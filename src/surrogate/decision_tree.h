@@ -99,8 +99,11 @@ class regression_tree {
 
   /// Rebuilds a fitted tree from serialized parts — the restore half of
   /// `nodes()`. Throws std::invalid_argument on an empty node array or an
-  /// internal node whose child index is out of range (a truncated snapshot
-  /// must fail here, not crash in predict()).
+  /// internal node whose children are out of range, do not come after it,
+  /// or already have a parent. Every tree that passes has the shape grow()
+  /// emits (each child after its parent, one parent each), so every walk
+  /// moves forward and ends: a corrupt snapshot fails here instead of
+  /// crashing or hanging in predict().
   regression_tree(std::vector<node> nodes, int depth);
 
   /// Predicted value for one feature row.

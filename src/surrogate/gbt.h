@@ -33,7 +33,18 @@ struct gbt_params {
 /// callable concurrently.
 ///
 /// Blocking: the constructor runs the whole boosting loop (the only
-/// expensive operation); `predict` walks `n_trees` trees and never blocks.
+/// expensive operation); `predict` never blocks.
+///
+/// Both constructors compile the trees into one flat node table, 16 B per
+/// node (~180 KB for a default-trained session head), kept beside the
+/// `regression_tree` objects, which stay the serialized form. Every
+/// `predict` runs one tree-major kernel over it: each tree walks every row
+/// of the call before the next tree starts, so a tree stays in cache while
+/// it is used. Per row the kernel performs the per-tree sum's IEEE
+/// operations in the same order — `base`, then `+= learning_rate * leaf`
+/// in tree order, then `exp` under log_target — so its results are
+/// bit-identical to `base + sum(learning_rate * tree.predict(row))`,
+/// whatever the batch size.
 class gbt_regressor {
  public:
   /// Fits to rows `x` (equal widths) and targets `y`; throws
@@ -48,11 +59,23 @@ class gbt_regressor {
   /// under. Predictions are bit-identical to the original regressor's.
   gbt_regressor(fitted_ensemble parts, double learning_rate, bool log_target);
 
-  /// Prediction for one feature row (width must match training).
+  /// Prediction for one feature row, at least `min_width()` wide. Throws
+  /// std::invalid_argument on a narrower row.
   [[nodiscard]] double predict(std::span<const double> row) const;
 
-  /// Batch prediction.
+  /// Predictions for rows of one width, at least `min_width()`. Throws
+  /// std::invalid_argument on ragged or too narrow rows.
   [[nodiscard]] std::vector<double> predict(std::span<const std::vector<double>> rows) const;
+
+  /// Predictions for `out.size()` rows of `width` values each, stored back
+  /// to back in `rows` — the kernel the other overloads call. Throws
+  /// std::invalid_argument when `width < min_width()` or when `rows` does
+  /// not hold exactly `width * out.size()` values.
+  void predict(std::span<const double> rows, std::size_t width, std::span<double> out) const;
+
+  /// Narrowest row `predict` accepts: one past the highest feature any
+  /// split reads.
+  [[nodiscard]] std::size_t min_width() const noexcept { return width_; }
 
   /// Total split gain per feature, normalized to sum 1.
   [[nodiscard]] std::vector<double> feature_importance(std::size_t n_features) const;
@@ -71,7 +94,24 @@ class gbt_regressor {
   /// @}
 
  private:
+  /// One compiled node. The two children of a node sit side by side, so a
+  /// walk steps to `child + !(x <= split)`: left on `<=`, right otherwise,
+  /// NaN included.
+  struct flat_node {
+    double split;           ///< threshold; the weight at a leaf
+    std::uint32_t feature;  ///< feature index, or `leaf` at a leaf
+    std::uint32_t child;    ///< left child; the right one is `child + 1`
+  };
+  static_assert(sizeof(flat_node) == 16);
+  static constexpr std::uint32_t leaf = 0xFFFFFFFFu;
+
+  /// Builds nodes_/roots_/width_ from trees_.
+  void compile();
+
   std::vector<regression_tree> trees_;
+  std::vector<flat_node> nodes_;     ///< every tree, breadth-first
+  std::vector<std::uint32_t> roots_; ///< per tree, its root's index in nodes_
+  std::size_t width_ = 0;
   double base_ = 0.0;
   double learning_rate_ = 0.1;
   bool log_target_ = true;

@@ -19,18 +19,12 @@ hw_predictor::hw_predictor(gbt_regressor latency, gbt_regressor energy)
     : latency_(std::make_unique<gbt_regressor>(std::move(latency))),
       energy_(std::make_unique<gbt_regressor>(std::move(energy))) {}
 
-double hw_predictor::latency_ms(const perf::sublayer_cost& cost, const soc::compute_unit& cu,
-                                std::size_t level, std::size_t concurrency) const {
-  if (cost.empty()) return 0.0;
-  const auto f = featurize(cost, cu, level, concurrency);
-  return latency_->predict(f);
-}
-
-double hw_predictor::energy_mj(const perf::sublayer_cost& cost, const soc::compute_unit& cu,
-                               std::size_t level, std::size_t concurrency) const {
-  if (cost.empty()) return 0.0;
-  const auto f = featurize(cost, cu, level, concurrency);
-  return energy_->predict(f);
+void hw_predictor::predict(std::span<const double> rows, std::span<double> latency_ms,
+                           std::span<double> energy_mj) const {
+  if (latency_ms.size() != energy_mj.size())
+    throw std::invalid_argument("hw_predictor::predict: output sizes differ");
+  latency_->predict(rows, feature_count, latency_ms);
+  energy_->predict(rows, feature_count, energy_mj);
 }
 
 hw_predictor::fidelity hw_predictor::evaluate(const dataset& test_set) const {

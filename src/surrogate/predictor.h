@@ -1,14 +1,14 @@
 #pragma once
 // The deployed hardware-cost predictor: two boosted ensembles (latency,
-// energy) behind the same call signature as the analytic models, so the GA
-// evaluator can swap between measured-model and surrogate (paper Fig. 5,
-// "HW Performance Characterization").
+// energy) that score featurized sublayer cells in place of the analytic
+// models, so the GA evaluator can swap between measured-model and
+// surrogate (paper Fig. 5, "HW Performance Characterization").
 
 #include <memory>
+#include <span>
 
-#include "perf/work.h"
-#include "soc/compute_unit.h"
 #include "surrogate/dataset.h"
+#include "surrogate/features.h"
 #include "surrogate/gbt.h"
 
 namespace mapcq::surrogate {
@@ -25,8 +25,9 @@ namespace mapcq::surrogate {
 /// workers all share one predictor).
 ///
 /// Blocking: construction trains both GBT ensembles (seconds at paper-scale
-/// benchmark sizes); predictions are tree walks, microseconds, and never
-/// block.
+/// benchmark sizes); predictions never block. A block of rows is scored in
+/// one tree-major pass per head over the heads' flat node tables (see
+/// gbt_regressor), a few microseconds per row.
 class hw_predictor {
  public:
   /// Trains both ensembles on the benchmark dataset (blocking; see class
@@ -38,13 +39,12 @@ class hw_predictor {
   /// are bit-identical to the predictor the ensembles came from.
   hw_predictor(gbt_regressor latency, gbt_regressor energy);
 
-  /// Predicted latency (ms) of one sublayer on a CU at a DVFS level.
-  [[nodiscard]] double latency_ms(const perf::sublayer_cost& cost, const soc::compute_unit& cu,
-                                  std::size_t level, std::size_t concurrency) const;
-
-  /// Predicted energy (mJ).
-  [[nodiscard]] double energy_mj(const perf::sublayer_cost& cost, const soc::compute_unit& cu,
-                                 std::size_t level, std::size_t concurrency) const;
+  /// Predicted latency (ms) and energy (mJ) of `latency_ms.size()`
+  /// sublayer cells whose `featurize()` rows, `feature_count` values each,
+  /// lie back to back in `rows`. Throws std::invalid_argument when the
+  /// sizes disagree.
+  void predict(std::span<const double> rows, std::span<double> latency_ms,
+               std::span<double> energy_mj) const;
 
   /// Held-out quality metrics (RMSE in target units, MAPE in %, R² in
   /// [-inf, 1]); see `evaluate`.

@@ -1,15 +1,18 @@
 // Durable session snapshot tests: mapcq-snapshot-v1 round-trips, typed
 // parse failures on corrupt/truncated input, spill-on-evict + warm-start
 // restore through mapping_service (bit-identical reports at zero evaluator
-// runs), GBT adoption without retraining, and snapshot/refresh epoch
-// consistency.
+// runs), GBT adoption without retraining, snapshot/refresh epoch
+// consistency, and a corrupt tree that fails to restore instead of hanging.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "nn/models.h"
 #include "serving/mapping_service.h"
@@ -250,6 +253,60 @@ TEST_F(snapshot_fixture, corrupt_spill_file_falls_back_to_a_cold_session) {
   EXPECT_EQ(revived.sessions_restored(), 0u);
   EXPECT_EQ(revived.restore_failures(), 1u);
   EXPECT_GT(cold.search_cache.misses, 0u);  // really cold, not half-warm
+}
+
+TEST_F(snapshot_fixture, snapshot_with_a_backward_tree_link_fails_to_restore) {
+  snapshot_dir dir{"backward_link"};
+  {
+    mapping_service service{persistent_service(dir.path())};
+    register_all(service);
+    (void)service.map(tiny_request(cnn.name, /*use_surrogate=*/true));
+    ASSERT_EQ(service.spill_sessions(), 1u);
+  }
+
+  // Point the first split node's left child back at itself. The first
+  // internal node of a snapshot is a tree's root (index 0): a root that is
+  // a leaf is the whole tree. Accepting this tree would leave predict()
+  // looping forever on every row that goes left.
+  const auto file = std::filesystem::directory_iterator(dir.path())->path();
+  std::string text;
+  {
+    std::ifstream in{file};
+    text.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+  }
+  const std::size_t at = text.find("\nnode 0 ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = text.find('\n', at + 1);
+  std::istringstream fields{text.substr(at + 1, end - at - 1)};
+  std::vector<std::string> tok{std::istream_iterator<std::string>{fields}, {}};
+  ASSERT_EQ(tok.size(), 8u);  // node leaf feature threshold value gain left right
+  ASSERT_EQ(tok[6], "1");
+  tok[6] = "0";
+  std::string line = tok[0];
+  for (std::size_t i = 1; i < tok.size(); ++i) line += ' ' + tok[i];
+  text.replace(at + 1, end - at - 1, line);
+  EXPECT_THROW((void)serving::snapshot_from_text(text), snapshot_error);
+  {
+    std::ofstream out{file};
+    out << text;
+  }
+
+  // Restoring it fails with an error and the session is served cold. A new
+  // GA seed misses the restored memo, so a search on the corrupt trees
+  // would have to walk them.
+  const mapping_request next = tiny_request(cnn.name, /*use_surrogate=*/true, 2);
+  mapping_service revived{persistent_service(dir.path())};
+  register_all(revived);
+  const mapping_report got = revived.map(next);
+  EXPECT_EQ(revived.sessions_restored(), 0u);
+  EXPECT_EQ(revived.restore_failures(), 1u);
+  EXPECT_TRUE(got.trained_surrogate);
+
+  service_options plain;
+  plain.engine.threads = 2;
+  mapping_service fresh{plain};
+  register_all(fresh);
+  expect_identical_fronts(fresh.map(next), got);
 }
 
 // --- refresh interaction ----------------------------------------------------

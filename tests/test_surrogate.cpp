@@ -1,5 +1,6 @@
-// Features, dataset generation, regression trees, GBT ensemble and the
-// deployed hardware predictor.
+// Features, dataset generation, regression trees, GBT ensemble (including
+// its flat node table, differential-tested against the per-tree sum), the
+// deployed hardware predictor and the evaluator's batched cost grid.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +8,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 
+#include "core/evaluator.h"
+#include "core/search_space.h"
+#include "core/serialization.h"
 #include "nn/models.h"
 #include "perf/calibration.h"
 #include "perf/latency_model.h"
@@ -178,6 +184,50 @@ TEST(decision_tree, rejects_duplicate_row) {
   const std::vector<double> y = {1.0, 2.0, 3.0};
   const std::vector<std::size_t> rows = {2, 0, 2};
   EXPECT_THROW((regression_tree{x, y, rows, tree_params{}}), std::invalid_argument);
+}
+
+regression_tree::node split_node(std::size_t feature, double threshold, std::size_t left,
+                                 std::size_t right) {
+  regression_tree::node n;
+  n.leaf = false;
+  n.feature = feature;
+  n.threshold = threshold;
+  n.left = left;
+  n.right = right;
+  return n;
+}
+
+regression_tree::node leaf_node(double value) {
+  regression_tree::node n;
+  n.value = value;
+  return n;
+}
+
+TEST(decision_tree, restore_rejects_links_that_do_not_go_forward) {
+  // The root's left child is the root itself: a walk that goes left would
+  // never end.
+  EXPECT_THROW((regression_tree{{split_node(0, 0.5, 0, 1), leaf_node(1.0)}, 1}),
+               std::invalid_argument);
+  // A right link back to an earlier node.
+  EXPECT_THROW((regression_tree{{split_node(0, 0.5, 1, 2), split_node(0, 0.2, 3, 0),
+                                 leaf_node(1.0), leaf_node(2.0)},
+                                2}),
+               std::invalid_argument);
+  // Forward links, but node 3 has two parents.
+  EXPECT_THROW((regression_tree{{split_node(0, 0.5, 1, 2), split_node(0, 0.2, 3, 4),
+                                 split_node(0, 0.8, 3, 4), leaf_node(1.0), leaf_node(2.0)},
+                                2}),
+               std::invalid_argument);
+  // Both links of one node to the same child.
+  EXPECT_THROW((regression_tree{{split_node(0, 0.5, 1, 1), leaf_node(1.0)}, 1}),
+               std::invalid_argument);
+  // The preorder layout grow() emits is accepted.
+  const regression_tree ok{{split_node(0, 0.5, 1, 4), split_node(1, 0.2, 2, 3), leaf_node(1.0),
+                            leaf_node(2.0), leaf_node(3.0)},
+                           2};
+  EXPECT_EQ(ok.predict(std::vector<double>{0.0, 0.0}), 1.0);
+  EXPECT_EQ(ok.predict(std::vector<double>{0.0, 1.0}), 2.0);
+  EXPECT_EQ(ok.predict(std::vector<double>{1.0, 0.0}), 3.0);
 }
 
 // --- presorted builder vs per-node sort --------------------------------------
@@ -409,6 +459,172 @@ TEST(gbt, rejects_ragged_rows) {
   EXPECT_THROW((void)gbt_trainer{gbt_params{}}.fit(x, y), std::invalid_argument);
 }
 
+/// One hand-built tree as a no-transform ensemble (base 0, rate 1).
+gbt_regressor single_tree(std::vector<regression_tree::node> nodes, int depth) {
+  fitted_ensemble parts;
+  parts.trees.emplace_back(std::move(nodes), depth);
+  return gbt_regressor{std::move(parts), 1.0, false};
+}
+
+TEST(gbt, flat_walk_sends_ties_left_and_nan_right) {
+  const gbt_regressor model = single_tree(
+      {split_node(0, 0.5, 1, 2), leaf_node(-1.0), leaf_node(2.0)}, 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(model.predict(std::vector<double>{0.5}), -1.0);  // x == threshold: left
+  EXPECT_EQ(model.predict(std::vector<double>{std::nextafter(0.5, 1.0)}), 2.0);
+  EXPECT_EQ(model.predict(std::vector<double>{-inf}), -1.0);
+  EXPECT_EQ(model.predict(std::vector<double>{inf}), 2.0);
+  EXPECT_EQ(model.predict(std::vector<double>{std::nan("")}), 2.0);
+}
+
+TEST(gbt, row_width_is_checked_once_up_front) {
+  // Only the right branch reads feature 2, so a walk alone would accept a
+  // one-wide row that goes left and reject one that goes right.
+  const gbt_regressor model = single_tree({split_node(0, 0.5, 1, 2), leaf_node(1.0),
+                                           split_node(2, 0.5, 3, 4), leaf_node(2.0),
+                                           leaf_node(3.0)},
+                                          2);
+  EXPECT_EQ(model.min_width(), 3u);
+  EXPECT_THROW((void)model.predict(std::vector<double>{0.0}), std::invalid_argument);
+  EXPECT_THROW((void)model.predict(std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_EQ(model.predict(std::vector<double>{0.0, 9.0, 9.0}), 1.0);
+  EXPECT_EQ(model.predict(std::vector<double>{1.0, 9.0, 0.0, 9.0}), 2.0);  // wider is fine
+
+  const std::vector<std::vector<double>> narrow = {{0.0, 0.0}, {1.0, 0.0}};
+  EXPECT_THROW((void)model.predict(narrow), std::invalid_argument);
+  std::vector<double> out(2);
+  const std::vector<double> flat = {0.0, 0.0, 1.0, 0.0};
+  EXPECT_THROW(model.predict(flat, 2, out), std::invalid_argument);
+}
+
+TEST(gbt, ragged_batches_throw) {
+  const gbt_regressor model = single_tree(
+      {split_node(0, 0.5, 1, 2), leaf_node(-1.0), leaf_node(2.0)}, 1);
+  const std::vector<std::vector<double>> shorter = {{0.0, 1.0}, {1.0}};
+  const std::vector<std::vector<double>> longer = {{0.0}, {1.0, 2.0}};
+  EXPECT_THROW((void)model.predict(shorter), std::invalid_argument);
+  EXPECT_THROW((void)model.predict(longer), std::invalid_argument);
+  EXPECT_TRUE(model.predict(std::vector<std::vector<double>>{}).empty());
+
+  // Flat blocks must hold exactly width x count values.
+  const std::vector<double> five = {0.0, 1.0, 2.0, 3.0, 4.0};
+  std::vector<double> out(2);
+  EXPECT_THROW(model.predict(five, 2, out), std::invalid_argument);
+  EXPECT_THROW(model.predict(five, 3, out), std::invalid_argument);
+  EXPECT_THROW(model.predict(five, 1, std::span<double>{}), std::invalid_argument);
+  model.predict(std::span<const double>{five}.first(4), 2, out);
+  EXPECT_EQ(out, (std::vector<double>{-1.0, 2.0}));
+}
+
+/// The per-tree sum the flat table replaced: base + sum(rate * tree(row)),
+/// then exp under log_target.
+double per_tree_sum(const gbt_regressor& model, std::span<const double> row) {
+  double acc = model.base();
+  for (const regression_tree& t : model.trees()) acc += model.learning_rate() * t.predict(row);
+  return model.log_target() ? std::exp(acc) : acc;
+}
+
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(gbt, flat_table_matches_per_tree_sum) {
+  constexpr int kCases = 120;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t rows_compared = 0;
+  std::size_t ties = 0;
+  std::size_t specials = 0;
+  for (int c = 0; c < kCases; ++c) {
+    util::rng gen{static_cast<std::uint64_t>(9000 + c)};
+    const auto n = static_cast<std::size_t>(gen.uniform_int(30, 160));
+    const auto features = static_cast<std::size_t>(gen.uniform_int(1, 6));
+    const auto x = mixed_rows(n, features, gen);
+
+    gbt_params p;
+    const std::size_t tree_choices[] = {1, 2, 120};
+    p.n_trees = tree_choices[c % 3];
+    p.tree.max_depth = 1 + c % 8;
+    p.tree.min_samples_leaf = 1 + static_cast<std::size_t>(c % 4);
+    p.log_target = (c / 8) % 2 == 0;
+    p.seed = static_cast<std::uint64_t>(c);
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = gen.normal() + 2.0 * x[i][0] - x[i].back();
+      y[i] = p.log_target ? std::exp(v) : v;
+    }
+
+    // The same fit, used directly and restored from mapcq-snapshot-v1 text.
+    const gbt_regressor fitted{x, y, p};
+    serving::session_snapshot snap;
+    snap.session_key = "flat-table";
+    snap.surrogate.emplace();
+    snap.surrogate->gbt = p;
+    snap.surrogate->latency = fitted_ensemble{fitted.trees(), fitted.base(), fitted.train_rmse()};
+    snap.surrogate->energy = snap.surrogate->latency;
+    const serving::session_snapshot back = serving::snapshot_from_text(serving::to_text(snap));
+    const gbt_regressor restored{back.surrogate->latency, p.learning_rate, p.log_target};
+
+    // Probe values: training values, exact split thresholds (must go
+    // left), +-inf and NaN (must go right).
+    std::vector<std::vector<double>> thresholds(features);
+    for (const regression_tree& t : fitted.trees())
+      for (const regression_tree::node& nd : t.nodes())
+        if (!nd.leaf) thresholds[nd.feature].push_back(nd.threshold);
+    const std::size_t batch_choices[] = {0, 1, 3, 17, 2 * static_cast<std::size_t>(c) + 1};
+    const std::size_t batch = batch_choices[c % 5];
+    const auto pick = [&gen](std::size_t count) {
+      return static_cast<std::size_t>(gen.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+    };
+    std::vector<std::vector<double>> probe(batch, std::vector<double>(features));
+    for (auto& row : probe) {
+      for (std::size_t f = 0; f < features; ++f) {
+        const double u = gen.uniform();
+        if (u < 0.35 && !thresholds[f].empty()) {
+          row[f] = thresholds[f][pick(thresholds[f].size())];
+          ++ties;
+        } else if (u < 0.45) {
+          row[f] = u < 0.4 ? inf : -inf;
+          ++specials;
+        } else if (u < 0.5) {
+          row[f] = std::nan("");
+          ++specials;
+        } else {
+          row[f] = x[pick(n)][f];
+        }
+      }
+    }
+
+    std::vector<std::string> want;
+    for (const auto& row : probe) want.push_back(g17(per_tree_sum(fitted, row)));
+
+    // Flat blocks with a stride wider than the rows: padding is never read.
+    const std::size_t stride = features + static_cast<std::size_t>(c % 3);
+    std::vector<double> flat;
+    for (const auto& row : probe) {
+      flat.insert(flat.end(), row.begin(), row.end());
+      flat.insert(flat.end(), stride - features, std::nan(""));
+    }
+
+    for (const gbt_regressor* model : {&fitted, &restored}) {
+      const std::vector<double> rows_out = model->predict(probe);
+      std::vector<double> flat_out(batch);
+      model->predict(flat, stride, flat_out);
+      ASSERT_EQ(rows_out.size(), batch);
+      for (std::size_t r = 0; r < batch; ++r) {
+        ASSERT_EQ(g17(model->predict(probe[r])), want[r]) << "case " << c << " row " << r;
+        ASSERT_EQ(g17(rows_out[r]), want[r]) << "case " << c << " row " << r;
+        ASSERT_EQ(g17(flat_out[r]), want[r]) << "case " << c << " row " << r;
+        ++rows_compared;
+      }
+    }
+  }
+  EXPECT_GT(rows_compared, 2000u);
+  EXPECT_GT(ties, 500u);
+  EXPECT_GT(specials, 500u);
+}
+
 TEST(gbt, snapshot_round_trip_predicts_bit_identically) {
   const auto vis = nn::build_visformer();
   const auto plat = soc::agx_xavier();
@@ -472,15 +688,145 @@ TEST(predictor, heldout_rank_fidelity_guard) {
   EXPECT_GE(fid.energy_tau, 0.97);
 }
 
-TEST(predictor, empty_cost_predicts_zero) {
+TEST(predictor, batch_rejects_mismatched_sizes) {
   const auto vis = nn::build_visformer();
   const auto plat = soc::agx_xavier();
   benchmark_options opt;
   opt.samples = 200;
-  const auto ds = generate_benchmark({&vis}, plat, opt);
-  const hw_predictor pred{ds};
-  EXPECT_DOUBLE_EQ(pred.latency_ms({}, plat.unit(0), 0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(pred.energy_mj({}, plat.unit(0), 0, 1), 0.0);
+  const hw_predictor pred{generate_benchmark({&vis}, plat, opt)};
+  const std::vector<double> rows(2 * feature_count, 1.0);
+  std::vector<double> lat(2);
+  std::vector<double> en(2);
+  pred.predict(rows, lat, en);
+  std::vector<double> short_en(1);
+  EXPECT_THROW(pred.predict(rows, lat, short_en), std::invalid_argument);
+  EXPECT_THROW(pred.predict(std::span<const double>{rows}.first(feature_count + 1), lat, en),
+               std::invalid_argument);
+}
+
+std::string eval_text(const core::evaluation& e) {
+  std::ostringstream os;
+  core::write_evaluation(os, e);
+  return os.str();
+}
+
+/// The per-cell grid predict_costs replaced: every non-empty cell
+/// featurized and scored alone by the per-tree sum, empty cells 0.
+perf::step_costs per_cell_costs(const perf::stage_plan& plan, const soc::platform& plat,
+                                const hw_predictor& pred) {
+  perf::step_costs costs;
+  costs.tau_ms.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
+  costs.energy_mj.assign(plan.stages(), std::vector<double>(plan.groups(), 0.0));
+  for (std::size_t i = 0; i < plan.stages(); ++i) {
+    const std::size_t unit = plan.cu_of_stage[i];
+    for (std::size_t j = 0; j < plan.groups(); ++j) {
+      const perf::sublayer_cost& cost = plan.steps[i][j].cost;
+      if (cost.empty()) continue;
+      const auto row = featurize(cost, plat.unit(unit), plan.dvfs_level[unit],
+                                 plan.active_stages());
+      costs.tau_ms[i][j] = per_tree_sum(pred.latency_model(), row);
+      costs.energy_mj[i][j] = per_tree_sum(pred.energy_model(), row);
+    }
+  }
+  return costs;
+}
+
+void expect_same_grid(const perf::step_costs& got, const perf::step_costs& want) {
+  ASSERT_EQ(got.tau_ms.size(), want.tau_ms.size());
+  ASSERT_EQ(got.energy_mj.size(), want.energy_mj.size());
+  for (std::size_t i = 0; i < want.tau_ms.size(); ++i) {
+    ASSERT_EQ(got.tau_ms[i].size(), want.tau_ms[i].size());
+    ASSERT_EQ(got.energy_mj[i].size(), want.energy_mj[i].size());
+    for (std::size_t j = 0; j < want.tau_ms[i].size(); ++j) {
+      EXPECT_EQ(g17(got.tau_ms[i][j]), g17(want.tau_ms[i][j])) << "cell " << i << "," << j;
+      EXPECT_EQ(g17(got.energy_mj[i][j]), g17(want.energy_mj[i][j])) << "cell " << i << "," << j;
+    }
+  }
+}
+
+// The batched grid (gather, one call per head, scatter) against the
+// per-cell reference, on random configurations of both paper networks.
+TEST(predictor, batched_cost_grid_matches_per_cell_reference) {
+  const auto vis = nn::build_visformer();
+  const auto vgg = nn::build_vgg19();
+  const soc::platform plat = perf::calibrated_xavier(vis, vgg).plat;
+  benchmark_options bopt;
+  bopt.samples = 1500;
+  const hw_predictor pred{generate_benchmark({&vis, &vgg}, plat, bopt)};
+  core::evaluator_options opt;
+  opt.predictor = &pred;
+
+  std::size_t cells = 0;
+  for (const nn::network* net : {&vis, &vgg}) {
+    const core::evaluator ev{*net, plat, opt};
+    const core::search_space space{*net, plat};
+    util::rng gen{net->name.size()};
+    std::vector<core::configuration> configs;
+    for (int i = 0; i < 24; ++i) configs.push_back(space.decode(space.random(gen)));
+
+    for (const core::configuration& config : configs) {
+      const core::dynamic_network dyn =
+          core::transform(*net, ev.groups(), ev.ranking(), config, plat);
+      expect_same_grid(core::predict_costs(dyn.plan, plat, pred),
+                       per_cell_costs(dyn.plan, plat, pred));
+      cells += dyn.plan.stages() * dyn.plan.groups();
+    }
+
+    // Surrogate evaluate_batch is a loop over evaluate.
+    std::vector<const core::configuration*> ptrs;
+    for (const core::configuration& c : configs) ptrs.push_back(&c);
+    const std::vector<core::evaluation> batch = ev.evaluate_batch(ptrs);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k)
+      EXPECT_EQ(eval_text(batch[k]), eval_text(ev.evaluate(configs[k])));
+  }
+  EXPECT_GT(cells, 1000u);
+}
+
+// Empty cells get 0 and are never queried: emptying cells leaves them at
+// exactly 0 and every other cell's prediction unchanged.
+TEST(predictor, empty_cells_cost_zero) {
+  const auto vis = nn::build_visformer();
+  const auto vgg = nn::build_vgg19();
+  const soc::platform plat = perf::calibrated_xavier(vis, vgg).plat;
+  benchmark_options bopt;
+  bopt.samples = 400;
+  const hw_predictor pred{generate_benchmark({&vis}, plat, bopt)};
+  const core::evaluator ev{vis, plat};
+  const core::search_space space{vis, plat};
+  util::rng gen{3};
+  perf::stage_plan plan =
+      core::transform(vis, ev.groups(), ev.ranking(), space.decode(space.random(gen)), plat).plan;
+  const perf::step_costs full = core::predict_costs(plan, plat, pred);
+
+  // Empty every second non-empty cell of each stage, keeping the first, so
+  // the concurrency feature stays the same.
+  const std::size_t active = plan.active_stages();
+  std::size_t emptied = 0;
+  for (auto& stage : plan.steps) {
+    std::size_t kept = 0;
+    for (perf::stage_step& step : stage)
+      if (!step.cost.empty() && kept++ % 2 == 1) {
+        step.cost = {};
+        ++emptied;
+      }
+  }
+  ASSERT_GT(emptied, 0u);
+  ASSERT_EQ(plan.active_stages(), active);
+  const perf::step_costs sparse = core::predict_costs(plan, plat, pred);
+  for (std::size_t i = 0; i < plan.stages(); ++i)
+    for (std::size_t j = 0; j < plan.groups(); ++j) {
+      const bool empty = plan.steps[i][j].cost.empty();
+      EXPECT_EQ(sparse.tau_ms[i][j], empty ? 0.0 : full.tau_ms[i][j]);
+      EXPECT_EQ(sparse.energy_mj[i][j], empty ? 0.0 : full.energy_mj[i][j]);
+    }
+
+  // A plan with no work at all makes no query and costs nothing.
+  for (auto& stage : plan.steps)
+    for (perf::stage_step& step : stage) step.cost = {};
+  const perf::step_costs none = core::predict_costs(plan, plat, pred);
+  for (const auto& stage : none.tau_ms)
+    for (const double v : stage) EXPECT_EQ(v, 0.0);
 }
 
 TEST(predictor, rejects_empty_training) {

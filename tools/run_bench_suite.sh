@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the CI bench suite (the eight acceptance benches plus the filtered
-# micro_primitives run: the scalar-vs-SoA characterizer head-to-head and
-# the surrogate training cost), merges their JSON
-# metric emissions into one BENCH.json artifact, and — when BENCH_BASELINE
-# is set — fails on any gated regression (see tools/compare_bench.py).
+# micro_primitives run: the scalar-vs-SoA characterizer head-to-head, the
+# surrogate training cost and the surrogate-backed evaluate cost), merges
+# their JSON metric emissions into one BENCH.json artifact, and — when
+# BENCH_BASELINE is set — fails on any gated regression (see
+# tools/compare_bench.py).
 #
 #   BUILD_DIR        build tree holding bench/ binaries   (default: build)
 #   BENCH_OUT        merged artifact path                 (default: BENCH.json)
@@ -32,10 +33,11 @@ for b in "${benches[@]}"; do
   echo
 done
 
-# Scalar-vs-SoA characterizer head-to-head (informational ns/sublayer) and
-# surrogate training cost (informational surrogate_fit_ms); filtered so only
-# the batch_characterize and surrogate_train benchmarks run.
-echo "=== bench: micro_primitives (batch characterizer, surrogate fit) ==="
+# Scalar-vs-SoA characterizer head-to-head (informational ns/sublayer),
+# surrogate training cost (informational surrogate_fit_ms) and the
+# surrogate-backed evaluate (informational surrogate_eval_us); filtered so
+# only the batch_characterize and surrogate_train benchmarks run.
+echo "=== bench: micro_primitives (batch characterizer, surrogate fit and evaluate) ==="
 MAPCQ_BENCH_JSON=$jsonl "$build_dir/bench/micro_primitives" \
   --benchmark_filter='batch_characterize|surrogate_train'
 echo
