@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "core/baselines.h"
-#include "core/optimizer.h"
 #include "nn/models.h"
+#include "serving/mapping_service.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -93,12 +93,15 @@ int main() {
                util::table::num(b.accuracy_pct)});
   }
 
-  core::optimizer_options opt;
-  opt.ga.generations = 40;
-  opt.ga.population = 30;
-  core::optimizer mapper{net, soc, opt};
-  const auto res = mapper.run();
-  const auto& ours = res.ours_energy();
+  serving::mapping_service service;
+  service.register_network(net);
+  service.register_platform(soc);
+  serving::mapping_request req;
+  req.network = net.name;
+  req.ga.generations = 40;
+  req.ga.population = 30;
+  const serving::mapping_report report = service.map(req);
+  const auto& ours = report.ours_energy();
   t.add_row({"Map-and-Conquer", util::table::num(ours.avg_energy_mj),
              util::table::num(ours.avg_latency_ms), util::table::num(ours.accuracy_pct)});
   std::cout << t.str() << "\n";

@@ -36,9 +36,7 @@ evaluation_engine::evaluation_engine(const evaluator& eval, engine_options opt)
     : opt_(opt), shard_capacity_(0), shards_(shard_count(opt)) {
   state_ = std::make_shared<const epoch_state>(epoch_state{&eval, 0});
   if (opt_.capacity > 0) shard_capacity_ = opt_.capacity / shards_.size();
-  if (opt_.threads > 1)
-    pool_ = std::make_unique<util::thread_pool>(
-        util::pool_options{opt_.threads, opt_.pin_threads});
+  if (opt_.threads > 1) pool_ = std::make_unique<util::thread_pool>(opt_.threads);
 }
 
 std::shared_ptr<const evaluation_engine::epoch_state> evaluation_engine::current() const {
@@ -148,8 +146,7 @@ evaluation_engine::claim evaluation_engine::claim_slot(std::size_t key,
   if (it != s.map.end()) {
     for (const entry_list::iterator entry : it->second) {
       if (entry->epoch == epoch && entry->value.config == config) {
-        if (opt_.eviction == eviction_policy::lru)
-          s.order.splice(s.order.end(), s.order, entry);
+        s.order.splice(s.order.end(), s.order, entry);
         c.outcome = claim::kind::hit;
         c.value = entry->value;
         hits_.fetch_add(1, std::memory_order_relaxed);

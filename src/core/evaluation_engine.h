@@ -42,17 +42,10 @@
 
 namespace mapcq::core {
 
-/// Which cached entry a full shard evicts first.
-enum class eviction_policy {
-  fifo,  ///< insertion order (cheapest bookkeeping; fine for one-shot runs)
-  lru    ///< least-recently-used: a hit refreshes the entry, so hot keys
-         ///< survive capacity pressure in long-lived serving sessions
-};
-
 /// Engine tuning knobs.
 struct engine_options {
   std::size_t shards = 16;   ///< mutex stripes of the memo table
-  std::size_t capacity = 0;  ///< max cached evaluations; 0 = unbounded
+  std::size_t capacity = 0;  ///< max cached evaluations, evicted LRU; 0 = unbounded
   std::size_t threads = 1;   ///< batch-evaluation workers (1 = inline)
   /// false turns the engine into a pass-through (every call runs the
   /// evaluator, and in-flight dedup is disabled too); kept for A/B benches
@@ -64,10 +57,6 @@ struct engine_options {
   /// way (pinned by tests/test_batch_evaluator.cpp); false is the scalar
   /// ablation baseline for the A/B bench.
   bool soa_batch = true;
-  /// Pin pool workers to CPUs round-robin (Linux; no-op elsewhere). See
-  /// util::pool_options::pin_threads.
-  bool pin_threads = false;
-  eviction_policy eviction = eviction_policy::fifo;
 };
 
 /// Monotonic counters. One batch element is exactly one of: a `hit` (served
@@ -241,8 +230,8 @@ class evaluation_engine {
  private:
   // Hash collisions are resolved by exact configuration equality against
   // the `evaluation::config` stored in each entry. Entries live on the
-  // eviction list (coldest at the front); the map indexes them by key. An
-  // LRU hit splices its entry to the back, FIFO leaves the order alone.
+  // eviction list (coldest at the front); the map indexes them by key. A
+  // hit splices its entry to the back, so a full shard evicts LRU.
   // Every entry and slot is tagged with the epoch that produced it; lookups
   // and joins only match their caller's epoch, so a promotion can never
   // serve a stale prediction.

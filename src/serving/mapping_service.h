@@ -65,7 +65,6 @@ struct service_options {
     // configurations survive capacity pressure across requests) and
     // auto-sized batch workers.
     engine.capacity = std::size_t{1} << 16;
-    engine.eviction = core::eviction_policy::lru;
     engine.threads = 0;  // 0 = one worker per hardware thread
   }
 

@@ -1,10 +1,9 @@
 #pragma once
-// Structured request/report pair of the serving front-end -- the API the
-// one-shot `core::optimizer` facade grew into. A `mapping_request` names a
-// *registered* network/platform and carries the search knobs; the
-// `mapping_report` returns the analytically validated Pareto front, the
-// Table-II picks, the per-phase evaluation-cache deltas and the fidelity of
-// the session surrogate that served the search.
+// Structured request/report pair of the serving front-end. A
+// `mapping_request` names a *registered* network/platform and carries the
+// search knobs; the `mapping_report` returns the analytically validated
+// Pareto front, the Table-II picks, the per-phase evaluation-cache deltas
+// and the fidelity of the session surrogate that served the search.
 
 #include <chrono>
 #include <cstdint>

@@ -117,10 +117,6 @@ class object_reader {
   std::vector<bool> consumed_;
 };
 
-constexpr std::pair<const char*, core::eviction_policy> eviction_names[] = {
-    {"fifo", core::eviction_policy::fifo},
-    {"lru", core::eviction_policy::lru},
-};
 constexpr std::pair<const char*, admission_policy> policy_names[] = {
     {"block", admission_policy::block},
     {"reject", admission_policy::reject},
@@ -194,8 +190,6 @@ value to_json(const core::engine_options& opt) {
   obj.push_member("threads", opt.threads);
   obj.push_member("memoize", opt.memoize);
   obj.push_member("soa_batch", opt.soa_batch);
-  obj.push_member("pin_threads", opt.pin_threads);
-  obj.push_member("eviction", enum_to_string(opt.eviction, eviction_names));
   return obj;
 }
 
@@ -206,8 +200,6 @@ void from_json(const value& v, core::engine_options& out, const std::string& pat
   r.get_uint("threads", out.threads);
   r.get("memoize", out.memoize);
   r.get("soa_batch", out.soa_batch);
-  r.get("pin_threads", out.pin_threads);
-  r.get_enum("eviction", out.eviction, eviction_names);
   r.finish();
   validate(out, path);
 }
@@ -723,8 +715,8 @@ void apply_override(service_config& cfg, std::string_view assignment) {
   const std::string_view key_path = assignment.substr(0, eq);
   const std::string_view value_text = assignment.substr(eq + 1);
 
-  // Parse the right-hand side as a JSON scalar; bare words ("lru",
-  // "reject") fall back to strings so enum values need no shell quoting.
+  // Parse the right-hand side as a JSON scalar; bare words ("reject",
+  // "latency") fall back to strings so enum values need no shell quoting.
   value rhs;
   try {
     rhs = util::json::parse(value_text);

@@ -16,7 +16,7 @@
 //     failures throw `config_error` naming the dotted key path
 //     ("ga.elite_fraction"), never a bare json error.
 //   * chrono fields serialize as integral milliseconds under a `_ms`
-//     suffixed key; enums serialize as strings ("lru", "reject", ...).
+//     suffixed key; enums serialize as strings ("reject", "latency", ...).
 
 #include <stdexcept>
 #include <string>

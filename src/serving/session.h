@@ -1,9 +1,7 @@
 #pragma once
 // One immutable serving session: the binding of (network, platform,
 // evaluator options, ranking seed) to long-lived evaluator/engine state, so
-// the memo cache persists across search, validation and repeated requests
-// -- the cross-phase/cross-run reuse the one-shot optimizer facade threw
-// away by rebuilding engines per phase.
+// the memo cache persists across search, validation and repeated requests.
 //
 // A session owns a *paired* engine set over one shared cache policy:
 //   * the analytic engine serves validation and analytic searches, which is

@@ -1,7 +1,11 @@
 #include "serving/session_snapshot.h"
 
+#include <atomic>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 
@@ -282,10 +286,27 @@ session_snapshot snapshot_from_text(const std::string& text) {
 }
 
 void save_snapshot(const std::string& path, const session_snapshot& snap) {
-  std::ofstream out{path};
-  if (!out) throw snapshot_error("cannot open " + path);
-  out << to_text(snap);
-  if (!out) throw snapshot_error("write failed for " + path);
+  // Write a temp file and rename it over the target, so a failed or
+  // interrupted save never touches the previous snapshot. The temp name is
+  // unique per write: spills of one session key can race.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string text = to_text(snap);
+  const std::string tmp = path + ".tmp-" + std::to_string(writes.fetch_add(1));
+  const auto fail = [&tmp](const std::string& message) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw snapshot_error(message);
+  };
+  {
+    std::ofstream out{tmp};
+    if (!out) fail("cannot open " + tmp);
+    out << text;
+    out.close();
+    if (!out) fail("write failed for " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) fail("cannot replace " + path + ": " + ec.message());
 }
 
 session_snapshot load_snapshot(const std::string& path) {

@@ -103,6 +103,9 @@ struct session_snapshot {
 [[nodiscard]] session_snapshot snapshot_from_text(const std::string& text);
 
 /// File convenience wrappers; both throw snapshot_error on I/O failure.
+/// save_snapshot writes a temp file beside `path` and renames it over
+/// `path`: a failed save leaves the previous snapshot and no temp file, and
+/// a reader that opened the previous snapshot keeps reading it whole.
 void save_snapshot(const std::string& path, const session_snapshot& snap);
 [[nodiscard]] session_snapshot load_snapshot(const std::string& path);
 

@@ -3,42 +3,12 @@
 #include <atomic>
 #include <stdexcept>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 namespace mapcq::util {
 
-namespace {
-
-/// Best-effort round-robin CPU affinity (Linux only; no-op elsewhere).
-/// Failures are ignored: pinning is a locality hint, never a correctness
-/// requirement, and restricted cpusets/containers may reject any mask.
-void pin_worker(std::thread& worker, std::size_t index) {
-#ifdef __linux__
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  if (online <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(index % static_cast<std::size_t>(online), &set);
-  (void)pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set);
-#else
-  (void)worker;
-  (void)index;
-#endif
-}
-
-}  // namespace
-
-thread_pool::thread_pool(pool_options opt) {
-  if (opt.threads == 0) opt.threads = 1;
-  workers_.reserve(opt.threads);
-  for (std::size_t i = 0; i < opt.threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-    if (opt.pin_threads) pin_worker(workers_.back(), i);
-  }
+thread_pool::thread_pool(std::size_t threads) {
+  if (threads == 0) threads = 1;
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 thread_pool::~thread_pool() {

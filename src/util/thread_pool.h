@@ -12,16 +12,6 @@
 
 namespace mapcq::util {
 
-/// Pool construction knobs.
-struct pool_options {
-  std::size_t threads = 1;  ///< worker count (at least one)
-  /// Pin worker i to CPU (i mod online-CPUs), best-effort, on Linux; a
-  /// no-op elsewhere and on affinity errors. Long-lived evaluation pools
-  /// (island engines) opt in so workers stop migrating between cores and
-  /// keep their SoA scratch caches warm.
-  bool pin_threads = false;
-};
-
 /// Simple task-queue thread pool. Tasks are `void()` callables; exceptions
 /// escaping a task terminate (tasks are expected to capture their own error
 /// channel). `wait_idle` blocks until the queue is drained and all workers
@@ -42,9 +32,7 @@ struct pool_options {
 class thread_pool {
  public:
   /// Spawns `threads` workers (at least one).
-  explicit thread_pool(std::size_t threads) : thread_pool(pool_options{threads, false}) {}
-  /// Spawns `opt.threads` workers, optionally pinned (see pool_options).
-  explicit thread_pool(pool_options opt);
+  explicit thread_pool(std::size_t threads);
   /// Drains the queue, then joins every worker (see class comment).
   ~thread_pool();
 

@@ -37,7 +37,6 @@
 #include "serving/request_scheduler.h"
 #include "soc/platform.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/wrr_queue.h"
 
 namespace {
@@ -423,26 +422,6 @@ TEST_F(engine_pair, async_soa_batches_match_sync) {
   std::vector<core::evaluation> got = async_engine.evaluate_batch_async(batch).get();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_eval_identical(got[i], want[i]);
-}
-
-TEST(thread_pool_pinning, pinned_pool_runs_work) {
-  util::thread_pool pool{util::pool_options{3, true}};
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> hits{0};
-  pool.parallel_for(64, [&](std::size_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 64);
-}
-
-TEST_F(engine_pair, pinned_engine_is_bit_identical) {
-  core::engine_options pinned;
-  pinned.threads = 2;
-  pinned.pin_threads = true;
-  core::evaluation_engine a{eval, pinned};
-  core::evaluation_engine b{eval};
-  const std::vector<core::configuration> batch = random_configs(6, 7);
-  const std::vector<core::evaluation> ra = a.evaluate_batch(batch);
-  const std::vector<core::evaluation> rb = b.evaluate_batch(batch);
-  for (std::size_t i = 0; i < ra.size(); ++i) expect_eval_identical(ra[i], rb[i]);
 }
 
 // ---------------------------------------------------------------------------

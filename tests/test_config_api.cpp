@@ -89,7 +89,7 @@ TEST(config_round_trip, every_options_struct_survives_json) {
   core::engine_options engine;
   engine.shards = 8;
   engine.capacity = 1234;
-  engine.eviction = core::eviction_policy::lru;
+  engine.soa_batch = false;
   expect_round_trip(engine);
 
   core::ga_options ga;
@@ -232,12 +232,14 @@ TEST(config_override, dotted_keys_reach_nested_fields) {
   service_config cfg;
   serving::apply_override(cfg, "ga.generations=55");
   serving::apply_override(cfg, "ga.island.islands=2");
-  serving::apply_override(cfg, "engine.eviction=lru");
+  serving::apply_override(cfg, "engine.capacity=4096");
   serving::apply_override(cfg, "scheduler.coalesce=false");
+  serving::apply_override(cfg, "scheduler.policy=reject");  // bare-word enum
   EXPECT_EQ(cfg.ga.generations, 55u);
   EXPECT_EQ(cfg.ga.island.islands, 2u);
-  EXPECT_EQ(cfg.service.engine.eviction, core::eviction_policy::lru);
+  EXPECT_EQ(cfg.service.engine.capacity, 4096u);
   EXPECT_FALSE(cfg.service.scheduler.coalesce);
+  EXPECT_EQ(cfg.service.scheduler.policy, serving::admission_policy::reject);
 }
 
 TEST(config_override, bad_overrides_throw_typed_errors) {

@@ -162,7 +162,6 @@ TEST_F(engine_fixture, lru_eviction_retains_hot_keys_under_pressure) {
   engine_options opt;
   opt.shards = 1;
   opt.capacity = 4;
-  opt.eviction = core::eviction_policy::lru;
   evaluation_engine engine{eval, opt};
   const auto configs = random_configs(6);
 
@@ -177,19 +176,6 @@ TEST_F(engine_fixture, lru_eviction_retains_hot_keys_under_pressure) {
   EXPECT_EQ(lru.misses, 6u);  // each distinct config ran exactly once
   EXPECT_EQ(lru.hits, 3u);
   EXPECT_EQ(lru.evictions, 2u);
-
-  // The same access pattern under FIFO evicts the hot key: insertion order
-  // ignores the hits, so configs[0] is the first victim.
-  engine_options fifo_opt = opt;
-  fifo_opt.eviction = core::eviction_policy::fifo;
-  evaluation_engine fifo{eval, fifo_opt};
-  for (std::size_t i = 0; i < 4; ++i) (void)fifo.evaluate(configs[i]);  // fill
-  (void)fifo.evaluate(configs[0]);  // hit, but does not refresh
-  (void)fifo.evaluate(configs[4]);  // evicts configs[0]
-  const evaluation remiss = fifo.evaluate(configs[0]);  // miss again
-  EXPECT_EQ(fifo.stats().misses, 6u);
-  EXPECT_EQ(fifo.stats().hits, 1u);
-  expect_identical(remiss, eval.evaluate(configs[0]));
 }
 
 TEST_F(engine_fixture, capacity_bound_holds_with_many_shards) {

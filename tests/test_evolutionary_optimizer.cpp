@@ -1,9 +1,8 @@
-// GA engine and end-to-end optimizer tests (kept small: tiny populations).
+// GA engine tests (kept small: tiny populations).
 
 #include <gtest/gtest.h>
 
 #include "core/evolutionary.h"
-#include "core/optimizer.h"
 #include "core/pareto.h"
 #include "nn/models.h"
 #include "soc/platform.h"
@@ -183,91 +182,6 @@ TEST_F(ga_fixture, rejects_island_counts_that_starve_islands) {
   opt.population = 12;
   opt.island.islands = 4;  // 3 members per island: too small to breed
   EXPECT_THROW((void)evolve(space, eval, opt), std::invalid_argument);
-}
-
-TEST(optimizer, end_to_end_small_run) {
-  const auto net = nn::build_simple_cnn();
-  const auto plat = soc::agx_xavier();
-  core::optimizer_options opt;
-  opt.ga = tiny_ga(17);
-  opt.bench.samples = 800;
-  opt.gbt.n_trees = 40;
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-
-  EXPECT_FALSE(res.validated.empty());
-  EXPECT_TRUE(res.surrogate_fidelity.has_value());
-  EXPECT_LT(res.surrogate_fidelity->latency_mape, 25.0);
-  EXPECT_LT(res.ours_latency_index, res.validated.size());
-  EXPECT_LT(res.ours_energy_index, res.validated.size());
-  // The energy pick never costs more energy than the latency pick.
-  EXPECT_LE(res.ours_energy().avg_energy_mj, res.ours_latency().avg_energy_mj + 1e-9);
-  // Slack rule: picks stay near the best validated accuracy.
-  double best_acc = 0.0;
-  for (const auto& e : res.validated) best_acc = std::max(best_acc, e.accuracy_pct);
-  EXPECT_GE(res.ours_energy().accuracy_pct, best_acc - opt.ours_e_accuracy_slack - 1e-9);
-}
-
-TEST(optimizer, analytic_mode_skips_surrogate) {
-  const auto net = nn::build_simple_cnn();
-  const auto plat = soc::agx_xavier();
-  core::optimizer_options opt;
-  opt.ga = tiny_ga(19);
-  opt.use_surrogate = false;
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-  EXPECT_FALSE(res.surrogate_fidelity.has_value());
-  EXPECT_FALSE(res.validated.empty());
-}
-
-// Legacy knob the serving registry refuses: a caller-trained predictor
-// plugged straight into eval.predictor must still drive the search (the
-// shim falls back to the pre-serving per-phase flow).
-TEST(optimizer, honors_caller_supplied_predictor) {
-  const auto net = nn::build_simple_cnn();
-  const auto plat = soc::agx_xavier();
-  const std::vector<const nn::network*> nets = {&net};
-  surrogate::benchmark_options bopt;
-  bopt.samples = 600;
-  const auto parts = surrogate::split(surrogate::generate_benchmark(nets, plat, bopt), 0.8, 1);
-  surrogate::gbt_params gopt;
-  gopt.n_trees = 20;
-  const surrogate::hw_predictor predictor{parts.train, gopt};
-
-  core::optimizer_options opt;
-  opt.ga = tiny_ga(29);
-  opt.use_surrogate = false;  // search on the *caller's* predictor instead
-  opt.eval.predictor = &predictor;
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-  EXPECT_FALSE(res.validated.empty());
-  EXPECT_FALSE(res.surrogate_fidelity.has_value());
-  EXPECT_LT(res.ours_energy_index, res.validated.size());
-}
-
-// Regression for the search/validation cache split: the shim routes both
-// phases through one serving session, so an analytic search's Pareto picks
-// -- all evaluated during the search itself -- must validate as pure
-// cross-phase cache hits, not as a fresh engine's misses.
-TEST(optimizer, analytic_run_reports_cross_phase_cache_continuity) {
-  const auto net = nn::build_simple_cnn();
-  const auto plat = soc::agx_xavier();
-  core::optimizer_options opt;
-  opt.ga = tiny_ga(23);
-  opt.use_surrogate = false;
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-
-  EXPECT_GT(res.validation_cache.hits, 0u);
-  EXPECT_EQ(res.validation_cache.misses, 0u);
-  EXPECT_EQ(res.validation_cache.hits + res.validation_cache.dedup, res.validated.size());
-
-  // The session also persists across run() calls: a rerun at the same seed
-  // revisits only cached candidates and reproduces the result exactly.
-  const auto rerun = mapper.run();
-  EXPECT_EQ(rerun.search.cache.misses, 0u);
-  EXPECT_EQ(rerun.validated.size(), res.validated.size());
-  EXPECT_EQ(rerun.ours_energy().objective, res.ours_energy().objective);
 }
 
 }  // namespace

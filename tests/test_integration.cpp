@@ -8,9 +8,9 @@
 
 #include "core/baselines.h"
 #include "core/evolutionary.h"
-#include "core/optimizer.h"
 #include "core/serialization.h"
 #include "nn/models.h"
+#include "serving/mapping_service.h"
 #include "soc/platform.h"
 
 namespace {
@@ -69,14 +69,16 @@ TEST(integration, reuse_regimes_monotone_in_constraint) {
 
 TEST(integration, mobilenet_through_full_optimizer) {
   const auto net = nn::build_mobilenet_cifar();
-  const auto plat = soc::agx_xavier();
-  core::optimizer_options opt;
-  opt.ga = tiny(13);
-  opt.use_surrogate = false;  // keep the test fast
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-  EXPECT_FALSE(res.validated.empty());
-  EXPECT_GT(res.ours_energy().accuracy_pct, 50.0);
+  serving::mapping_service service;
+  service.register_network(net);
+  service.register_platform(soc::agx_xavier());
+  serving::mapping_request req;
+  req.network = net.name;
+  req.ga = tiny(13);
+  req.use_surrogate = false;  // keep the test fast
+  const serving::mapping_report rep = service.map(req);
+  EXPECT_FALSE(rep.front.empty());
+  EXPECT_GT(rep.ours_energy().accuracy_pct, 50.0);
 }
 
 TEST(integration, plain20_pipeline_vs_width_partition) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <stdexcept>
@@ -85,6 +86,8 @@ TEST_F(service_fixture, warm_session_reuses_cache_and_is_bit_identical) {
 
 TEST_F(service_fixture, analytic_search_validates_as_cross_phase_hits) {
   const mapping_report rep = service.map(tiny_request(cnn.name));
+  ASSERT_FALSE(rep.front.empty());
+  EXPECT_GT(rep.validation_cache.hits, 0u);
   EXPECT_EQ(rep.validation_cache.misses, 0u);
   EXPECT_EQ(rep.validation_cache.hits + rep.validation_cache.dedup, rep.front.size());
   EXPECT_FALSE(rep.surrogate_fidelity.has_value());
@@ -113,6 +116,28 @@ TEST_F(service_fixture, surrogate_trains_once_per_session) {
   EXPECT_THROW((void)service.map(clashing), std::invalid_argument);
 }
 
+// The paper flow end to end (Fig. 5): train the session GBT, search on it,
+// validate the front analytically and pick Ours-L / Ours-E (Table II).
+TEST_F(service_fixture, surrogate_search_is_faithful_and_picks_within_slack) {
+  mapping_request req = tiny_request(cnn.name, 17);
+  req.use_surrogate = true;
+  req.bench.samples = 800;
+  req.gbt.n_trees = 40;
+  const mapping_report rep = service.map(req);
+
+  ASSERT_FALSE(rep.front.empty());
+  ASSERT_TRUE(rep.surrogate_fidelity.has_value());
+  EXPECT_LT(rep.surrogate_fidelity->latency_mape, 25.0);
+  EXPECT_LT(rep.ours_latency_index, rep.front.size());
+  EXPECT_LT(rep.ours_energy_index, rep.front.size());
+  // The energy pick never costs more energy than the latency pick.
+  EXPECT_LE(rep.ours_energy().avg_energy_mj, rep.ours_latency().avg_energy_mj + 1e-9);
+  // Slack rule: the energy pick stays near the best validated accuracy.
+  double best_acc = 0.0;
+  for (const auto& e : rep.front) best_acc = std::max(best_acc, e.accuracy_pct);
+  EXPECT_GE(rep.ours_energy().accuracy_pct, best_acc - req.ours_e_accuracy_slack - 1e-9);
+}
+
 TEST_F(service_fixture, submit_serves_async_and_propagates_errors) {
   std::shared_future<mapping_report> pending = service.submit(tiny_request(cnn.name));
   const mapping_report rep = pending.get();
@@ -135,6 +160,16 @@ TEST_F(service_fixture, rejects_unregistered_platform_and_foreign_predictor) {
   mapping_request req = tiny_request(cnn.name);
   req.platform = "no-such-platform";
   EXPECT_THROW((void)service.map(req), std::invalid_argument);
+
+  // Sessions own their predictors: a caller-trained one is refused.
+  surrogate::benchmark_options bopt;
+  bopt.samples = 200;
+  surrogate::gbt_params gopt;
+  gopt.n_trees = 5;
+  const surrogate::hw_predictor foreign{surrogate::generate_benchmark({&cnn}, plat, bopt), gopt};
+  mapping_request with_predictor = tiny_request(cnn.name);
+  with_predictor.eval.predictor = &foreign;
+  EXPECT_THROW((void)service.map(with_predictor), std::invalid_argument);
 }
 
 TEST_F(service_fixture, concurrent_requests_on_one_session_share_the_cache) {

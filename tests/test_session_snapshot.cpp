@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -150,6 +151,35 @@ TEST_F(snapshot_fixture, corrupt_and_truncated_snapshots_throw_typed_errors) {
 
   // File wrappers: missing file is a typed error too.
   EXPECT_THROW((void)serving::load_snapshot(dir.path() + "/nope.snapshot"), snapshot_error);
+}
+
+TEST_F(snapshot_fixture, save_replaces_the_previous_snapshot_whole) {
+  snapshot_dir dir{"replace"};
+  mapping_service service{persistent_service(dir.path())};
+  register_all(service);
+  (void)service.map(tiny_request(cnn.name));
+  (void)service.map(tiny_request(mobile.name));
+  const session_snapshot first = service.session_for(tiny_request(cnn.name))->snapshot();
+  const session_snapshot second = service.session_for(tiny_request(mobile.name))->snapshot();
+
+  const std::string target = dir.path() + "/target.snapshot";
+  serving::save_snapshot(target, first);
+  std::ifstream reader{target};  // holds the previous snapshot open
+  ASSERT_TRUE(reader);
+  serving::save_snapshot(target, second);
+  const std::string held{std::istreambuf_iterator<char>{reader}, {}};
+  EXPECT_EQ(held, serving::to_text(first));
+  EXPECT_EQ(serving::to_text(serving::load_snapshot(target)), serving::to_text(second));
+
+  // A save that cannot complete throws and leaves no temp file behind.
+  const std::string blocked = dir.path() + "/blocked.snapshot";
+  std::filesystem::create_directories(blocked + "/occupant");
+  EXPECT_THROW(serving::save_snapshot(blocked, second), snapshot_error);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path()))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"blocked.snapshot", "target.snapshot"}));
 }
 
 TEST_F(snapshot_fixture, restore_refuses_key_mismatch_and_non_fresh_sessions) {
