@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/serialization.h"
 #include "nn/models.h"
 #include "serving/mapping_service.h"
 #include "serving/request_trace.h"
@@ -260,78 +259,6 @@ bool bounded_rejection(const nn::network& net, const soc::platform& plat, const 
   return ok;
 }
 
-/// Scenario (d): cross-request batch fusion. Dispatch is paused, N distinct
-/// same-session requests queue up, and a single worker with unbounded
-/// max_fused must drain them as ONE fused dispatch group — the counters are
-/// exact (fused == N-1, fused_batches == 1) and every report matches the
-/// serial reference run bit-for-bit (summaries compared with the stamped
-/// scheduler note stripped, since the counters legitimately differ).
-bool fused_batching(const nn::network& net, const soc::platform& plat, const scale& s,
-                    bench::json_reporter& json) {
-  std::cout << "--- cross-request batch fusion ---\n";
-  const std::size_t n = 4;
-
-  // Serial reference: default scheduler (max_fused = 1), same requests.
-  serving::service_options serial_opt;
-  serial_opt.engine.threads = 1;
-  serial_opt.workers = 1;
-  serving::mapping_service serial{serial_opt};
-  serial.register_network(net);
-  serial.register_platform(plat);
-  std::vector<std::string> reference;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n; ++i) {
-    core::report_summary sum = serial.map(make_request(net, 500 + i, s)).summary();
-    sum.scheduler.reset();
-    reference.push_back(core::to_text(sum));
-  }
-  const double serial_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  serving::service_options opt;
-  opt.engine.threads = 1;
-  opt.workers = 1;
-  opt.scheduler.max_fused = 0;  // unbounded
-  serving::mapping_service service{opt};
-  service.register_network(net);
-  service.register_platform(plat);
-
-  service.pause_scheduler();
-  std::vector<std::shared_future<serving::mapping_report>> futures;
-  for (std::size_t i = 0; i < n; ++i)
-    futures.push_back(service.submit(make_request(net, 500 + i, s)));
-  const auto t1 = std::chrono::steady_clock::now();
-  service.resume_scheduler();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    core::report_summary sum = futures[i].get().summary();
-    sum.scheduler.reset();
-    identical &= core::to_text(sum) == reference[i];
-  }
-  const double fused_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
-
-  const serving::scheduler_stats st = service.scheduler();
-  util::table t({"requests", "fused", "fused batches", "serial (s)", "fused (s)"});
-  t.add_row({std::to_string(n), std::to_string(st.fused), std::to_string(st.fused_batches),
-             util::format("%.2f", serial_s), util::format("%.2f", fused_s)});
-  std::cout << t.str();
-
-  bool ok = check(st.fused == n - 1,
-                  util::format("followers counted exactly (%zu == %zu)", st.fused, n - 1));
-  ok &= check(st.fused_batches == 1, "one fused dispatch group");
-  ok &= check(identical, "fused reports bit-identical to serial dispatch");
-  ok &= check(counters_reconcile(st), "counters reconcile (fused included)");
-  json.metric("fused_followers", static_cast<double>(st.fused));
-  json.metric("fused_batches", static_cast<double>(st.fused_batches));
-  json.metric("fused_identical", identical ? 1.0 : 0.0);
-  json.metric("fused_ok", ok ? 1.0 : 0.0);
-  json.metric("fused_wall_s", fused_s);
-  std::cout << "\n";
-  return ok;
-}
-
 /// Nightly soak (MAPCQ_SOAK_REQUESTS > 0): a sustained duplicate-heavy,
 /// multi-priority stream across several session lanes. The point is not a
 /// new scheduling property but *accounting under volume*: every one of the
@@ -425,7 +352,6 @@ int main() {
   bool ok = duplicate_heavy(net, plat, s, json);
   ok &= flood_fairness(net, plat, s, json);
   ok &= bounded_rejection(net, plat, s, json);
-  ok &= fused_batching(net, plat, s, json);
   if (const std::size_t soak_n = env_or("MAPCQ_SOAK_REQUESTS", 0); soak_n > 0)
     ok &= soak(net, plat, s, soak_n, json);
 

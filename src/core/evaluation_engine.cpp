@@ -301,61 +301,6 @@ void evaluation_engine::run_owner(batch_plan& plan, std::size_t group_index) {
   }
 }
 
-std::vector<std::span<const std::size_t>> evaluation_engine::owner_chunks(
-    const batch_plan& plan) const {
-  std::vector<std::span<const std::size_t>> chunks;
-  const std::span<const std::size_t> owners{plan.owners};
-  if (owners.empty()) return chunks;
-  if (!opt_.soa_batch) {
-    // Scalar dispatch: one task per owner, balanced by pool work-stealing.
-    chunks.reserve(owners.size());
-    for (std::size_t k = 0; k < owners.size(); ++k) chunks.push_back(owners.subspan(k, 1));
-    return chunks;
-  }
-  // Batched dispatch: as few chunks as keep every worker busy, so the SoA
-  // gather amortizes over the largest possible batches.
-  const std::size_t n_chunks = pool_ ? std::min(owners.size(), pool_->size()) : 1;
-  chunks.reserve(n_chunks);
-  const std::size_t stride = owners.size() / n_chunks;
-  const std::size_t extra = owners.size() % n_chunks;
-  std::size_t begin = 0;
-  for (std::size_t k = 0; k < n_chunks; ++k) {
-    const std::size_t len = stride + (k < extra ? 1 : 0);
-    chunks.push_back(owners.subspan(begin, len));
-    begin += len;
-  }
-  return chunks;
-}
-
-void evaluation_engine::run_owner_chunk(batch_plan& plan,
-                                        std::span<const std::size_t> group_indices) {
-  if (!opt_.soa_batch || group_indices.size() == 1) {
-    for (const std::size_t gi : group_indices) run_owner(plan, gi);
-    return;
-  }
-  std::vector<const configuration*> reps;
-  reps.reserve(group_indices.size());
-  for (const std::size_t gi : group_indices)
-    reps.push_back(&plan.configs[plan.groups[gi].rep]);
-
-  std::vector<evaluation> fresh;
-  try {
-    // The batch's captured evaluator, exactly as run_owner uses it.
-    fresh = plan.state->eval->evaluate_batch(reps);
-  } catch (...) {
-    // All-or-nothing batch failure loses per-element attribution; re-run
-    // scalar so only the actually-failing candidates park exceptions (and
-    // the healthy ones still publish). The double evaluation only happens
-    // on this error path.
-    for (const std::size_t gi : group_indices) run_owner(plan, gi);
-    return;
-  }
-  for (std::size_t k = 0; k < group_indices.size(); ++k) {
-    batch_plan::group& g = plan.groups[group_indices[k]];
-    complete_owner(g.key, plan.configs[g.rep], plan.state->epoch, g.promise, fresh[k]);
-  }
-}
-
 void evaluation_engine::finish_plan(batch_plan& plan) {
   for (batch_plan::group& g : plan.groups) {
     plan.out[g.rep] = g.pending.get();  // own run or foreign join; may rethrow
@@ -382,26 +327,25 @@ std::vector<evaluation> evaluation_engine::evaluate_batch(
   batch_plan plan;
   plan.configs = configs;  // view of the caller's span: no copy on this path
   plan_batch(plan);
-  const std::vector<std::span<const std::size_t>> chunks = owner_chunks(plan);
-  if (pool_ && chunks.size() > 1) {
+  if (pool_ && plan.owners.size() > 1) {
     // Per-batch countdown, NOT parallel_for: its wait_idle() is a
     // whole-pool barrier, and other batches (async island generations,
     // racing requests) may keep this shared pool busy indefinitely. Only
     // this batch's own tasks are awaited. Capturing stack state is safe:
-    // run_owner_chunk never throws, so the countdown always completes and
-    // we never return while a task is live.
+    // run_owner never throws, so the countdown always completes and we
+    // never return while a task is live.
     std::promise<void> done;
     std::future<void> all_done = done.get_future();
-    std::atomic<std::size_t> remaining{chunks.size()};
-    for (const std::span<const std::size_t> chunk : chunks) {
-      pool_->submit([this, &plan, chunk, &remaining, &done] {
-        run_owner_chunk(plan, chunk);
+    std::atomic<std::size_t> remaining{plan.owners.size()};
+    for (const std::size_t gi : plan.owners) {
+      pool_->submit([this, &plan, gi, &remaining, &done] {
+        run_owner(plan, gi);
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) done.set_value();
       });
     }
     all_done.wait();
   } else {
-    for (const std::span<const std::size_t> chunk : chunks) run_owner_chunk(plan, chunk);
+    for (const std::size_t gi : plan.owners) run_owner(plan, gi);
   }
   finish_plan(plan);
   return std::move(plan.out);
@@ -436,8 +380,7 @@ std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
     // No workers: evaluate inline (the documented degenerate mode). Joins
     // may block on foreign threads, but only this caller waits — never a
     // pool worker — and failures still surface at get().
-    for (const std::span<const std::size_t> chunk : owner_chunks(*plan))
-      run_owner_chunk(*plan, chunk);
+    for (const std::size_t gi : plan->owners) run_owner(*plan, gi);
     std::promise<std::vector<evaluation>> done;
     std::future<std::vector<evaluation>> fut = done.get_future();
     try {
@@ -456,25 +399,21 @@ std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
   // overlapping batches can never deadlock the pool however small it is.
   struct async_state {
     std::shared_ptr<batch_plan> plan;
-    /// Chunk spans view plan->owners, which plan_batch froze; keeping them
-    /// here keeps the pool tasks' captures trivially copyable.
-    std::vector<std::span<const std::size_t>> chunks;
     std::promise<void> owners_done;
     std::shared_future<void> done_future;
     std::atomic<std::size_t> remaining{0};
   };
   auto state = std::make_shared<async_state>();
   state->plan = plan;
-  state->chunks = owner_chunks(*plan);
   state->done_future = state->owners_done.get_future().share();
-  state->remaining.store(state->chunks.size(), std::memory_order_relaxed);
+  state->remaining.store(plan->owners.size(), std::memory_order_relaxed);
 
-  if (state->chunks.empty()) {
+  if (plan->owners.empty()) {
     state->owners_done.set_value();
   } else {
-    for (const std::span<const std::size_t> chunk : state->chunks) {
-      pool_->submit([this, state, chunk] {
-        run_owner_chunk(*state->plan, chunk);
+    for (const std::size_t gi : plan->owners) {
+      pool_->submit([this, state, gi] {
+        run_owner(*state->plan, gi);
         if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
           state->owners_done.set_value();
       });

@@ -51,12 +51,6 @@ struct engine_options {
   /// evaluator, and in-flight dedup is disabled too); kept for A/B benches
   /// and bit-identity tests.
   bool memoize = true;
-  /// Route owned misses through `evaluator::evaluate_batch` (the SoA
-  /// batch characterizer) in per-worker chunks instead of one scalar
-  /// evaluator call per configuration. Results are bit-identical either
-  /// way (pinned by tests/test_batch_evaluator.cpp); false is the scalar
-  /// ablation baseline for the A/B bench.
-  bool soa_batch = true;
 };
 
 /// Monotonic counters. One batch element is exactly one of: a `hit` (served
@@ -327,18 +321,6 @@ class evaluation_engine {
   /// parked in the group's promise (via abandon_owner) so pool workers
   /// never unwind; `finish_plan` rethrows it on the consuming thread.
   void run_owner(batch_plan& plan, std::size_t group_index);
-  /// Contiguous split of `plan.owners` for dispatch: one span per pool
-  /// worker under `soa_batch` (big chunks amortize the SoA gather), one
-  /// span per owner otherwise (classic work-stealing balance). Chunk
-  /// membership only affects scheduling — every owned result is a pure
-  /// function of its configuration. Spans view `plan.owners`.
-  [[nodiscard]] std::vector<std::span<const std::size_t>> owner_chunks(
-      const batch_plan& plan) const;
-  /// Evaluates a chunk of owned groups — through the evaluator's SoA batch
-  /// path when `soa_batch` is on and the chunk has more than one group.
-  /// Never throws: a batched failure falls back to per-owner scalar runs so
-  /// only the actually-failing candidates abandon their promises.
-  void run_owner_chunk(batch_plan& plan, std::span<const std::size_t> group_indices);
   /// Collects every group's result (own runs and foreign joins alike) and
   /// copies duplicates into place; rethrows the first failed run.
   void finish_plan(batch_plan& plan);

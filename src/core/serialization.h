@@ -60,10 +60,10 @@ struct scheduler_note {
   std::uint64_t expired = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  /// Cross-request fusion counters (format extension): requests dispatched
-  /// as followers of a fused batch, and batches of size >= 2. Reports
-  /// written before the extension carry the 7-field row; the parser
-  /// accepts both arities and leaves these at 0 for legacy rows.
+  /// Counters of the removed cross-request fusion (format extension); the
+  /// service always writes them as 0. Reports written before the extension
+  /// carry the 7-field row; the parser accepts both arities and leaves
+  /// these at 0 for legacy rows.
   std::uint64_t fused = 0;
   std::uint64_t fused_batches = 0;
 };

@@ -1,101 +1,11 @@
 #pragma once
-// Structure-of-arrays batch characterizer — the vectorized fast path of the
-// per-sublayer analytic hot loop (ROADMAP "hot-path speed", attack 3).
-//
-// The scalar pipeline walks every (stage, group) cell of every plan through
-// `sublayer_latency_ms` / `sublayer_energy_mj` one call at a time, chasing
-// pointers into `stage_plan`'s vector-of-vectors. This class lays the cells
-// of a whole evaluation batch out contiguously instead: one gather pass
-// resolves the per-cell scalars (flops, roofline denominators, launch
-// overhead, power), then a single flat loop computes every tau/energy pair
-// — written so the auto-vectorizer can keep the divisions and max() in SIMD
-// lanes (toggle: the MAPCQ_SIMD CMake option). The eq. 8 recurrence and the
-// idle-power characterization then run per plan over the flat tau array.
-//
-// Bit-identity contract: the batch path performs the *same IEEE operations
-// in the same order* as `simulate()` + `characterize[_system]()` — roofline
-// denominators are formed from the same operands, the recurrence replicates
-// `run_recurrence`'s iteration and accumulation order, and nothing is
-// compiled under value-changing FP flags. `tests/test_batch_evaluator.cpp`
-// pins this differentially at %.17g across seeded networks × platforms ×
-// batch shapes; treat any divergence as a bug in this file.
-//
-// Ownership: the characterizer borrows the platform (must outlive it) and
-// owns its arena scratch, which is bump-allocated per `run()` call and
-// reused across calls (buffers grow monotonically, no per-cell allocation).
-//
-// Thread-safety: NONE — the arena is mutable state. One instance per
-// thread; `core::evaluator::evaluate_batch` creates one per call.
-
-#include <cstddef>
-#include <span>
-#include <vector>
-
-#include "perf/characterizer.h"
-#include "perf/concurrent_executor.h"
-#include "perf/latency_model.h"
-#include "perf/work.h"
-#include "soc/platform.h"
+// Kept only because the frozen repository benchmark (perfbench/) still
+// includes this header for its `simd` run-metadata field. It goes in the
+// next benchmark change; the library has one characterization path.
 
 namespace mapcq::perf {
 
-/// Bump allocator for per-batch scratch: one backing vector per scalar
-/// type, sized up front (a mid-batch grow would invalidate handed-out
-/// spans, so `reset` pre-reserves the whole batch's footprint).
-class batch_arena {
- public:
-  /// Discards all outstanding spans and guarantees capacity for
-  /// `doubles` / `flags` subsequent takes.
-  void reset(std::size_t doubles, std::size_t flags);
-
-  /// Hands out the next `n` doubles, zero-initialized.
-  [[nodiscard]] std::span<double> take(std::size_t n);
-  /// Hands out the next `n` flag bytes, zero-initialized.
-  [[nodiscard]] std::span<unsigned char> take_flags(std::size_t n);
-
- private:
-  std::vector<double> doubles_;
-  std::vector<unsigned char> flags_;
-  std::size_t doubles_used_ = 0;
-  std::size_t flags_used_ = 0;
-};
-
-/// Per-plan output of a batch run: exactly what the scalar pipeline hands
-/// `core::evaluator` (`simulate()` result plus its characterization).
-struct batch_profile {
-  execution_result exec;
-  dynamic_profile profile;
-};
-
-/// SoA batched analytic characterizer (see file comment).
-class batch_characterizer {
- public:
-  /// Borrows `plat` (and `ctx` when given; both must outlive the
-  /// characterizer); `opt` mirrors the scalar `model_options` knobs. Pass
-  /// the co-location context the evaluator scored under (usually the same
-  /// one that produced `plat` via `apply_contention`) so the idle-power
-  /// sweep excludes resident-reserved CUs exactly as the scalar
-  /// `characterize_system` does; null keeps the legacy path bit-identical.
-  batch_characterizer(const soc::platform& plat, model_options opt,
-                      const soc::contention_context* ctx = nullptr);
-
-  /// Characterizes every plan of the batch. `out` must be sized like
-  /// `plans`; `count_idle_power` selects `characterize_system` vs
-  /// `characterize`, exactly as `evaluator_options::count_idle_power`
-  /// does on the scalar path. Throws std::logic_error on an invalid plan
-  /// (same validation as `simulate`).
-  void run(std::span<const stage_plan* const> plans, bool count_idle_power,
-           std::span<batch_profile> out);
-
- private:
-  const soc::platform* plat_;
-  model_options opt_;
-  const soc::contention_context* ctx_ = nullptr;
-  batch_arena arena_;
-};
-
-/// True when the library was compiled with the MAPCQ_SIMD toggle on
-/// (vectorization pragmas active in the flat tau/energy loop).
-[[nodiscard]] bool simd_enabled() noexcept;
+/// Always false: no vectorized characterization path exists.
+[[nodiscard]] constexpr bool simd_enabled() noexcept { return false; }
 
 }  // namespace mapcq::perf

@@ -41,11 +41,12 @@ void solve_efficiency(soc::compute_unit& cu, soc::op_class cls, const reference_
   for (int it = 0; it < 100; ++it) {
     const double mid = std::sqrt(lo * hi);  // log-scale bisection
     cu.set_efficiency(cls, mid);
-    if (run_latency(cu, *ref.net, model) > ref.latency_ms) {
-      lo = mid;  // too slow -> need more efficiency
-    } else {
-      hi = mid;
-    }
+    // Too slow -> need more efficiency. Each step is a function of (lo, hi)
+    // alone, so once the bracket stops moving every later step would repeat
+    // this one: stop at that fixed point.
+    double& bound = run_latency(cu, *ref.net, model) > ref.latency_ms ? lo : hi;
+    if (bound == mid) break;
+    bound = mid;
   }
   cu.set_efficiency(cls, std::sqrt(lo * hi));
 }
@@ -70,11 +71,9 @@ void solve_activity(soc::compute_unit& cu, soc::op_class cls, const reference_po
   for (int it = 0; it < 100; ++it) {
     const double mid = 0.5 * (lo + hi);
     cu.set_activity(cls, mid);
-    if (run_energy(cu, *ref.net, model, external_idle_w) > ref.energy_mj) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
+    double& bound = run_energy(cu, *ref.net, model, external_idle_w) > ref.energy_mj ? hi : lo;
+    if (bound == mid) break;  // fixed point, as in solve_efficiency
+    bound = mid;
   }
   cu.set_activity(cls, 0.5 * (lo + hi));
 }

@@ -308,29 +308,6 @@ mapping_report mapping_service::map(const mapping_request& req) {
   return rep;
 }
 
-std::vector<fused_outcome> mapping_service::map_fused(std::span<const mapping_request> reqs) {
-  std::vector<fused_outcome> outcomes(reqs.size());
-  if (reqs.empty()) return outcomes;
-  const auto run_one = [this, reqs, &outcomes](std::size_t i) {
-    try {
-      outcomes[i].report = map(reqs[i]);
-    } catch (...) {
-      outcomes[i].error = std::current_exception();
-    }
-  };
-  // Concurrent members share the session's engines, so the engine-level
-  // in-flight dedup (not just the memo cache) amortizes work across the
-  // group. One plain thread per extra member: fused groups are small
-  // (scheduler_options::max_fused) and each member runs a full search, so
-  // thread spawn cost is noise.
-  std::vector<std::thread> others;
-  others.reserve(reqs.size() - 1);
-  for (std::size_t i = 1; i < reqs.size(); ++i) others.emplace_back(run_one, i);
-  run_one(0);
-  for (std::thread& t : others) t.join();
-  return outcomes;
-}
-
 void mapping_service::touch_session(const std::string& key) {
   const std::lock_guard<std::mutex> lock{mu_};
   const auto it = sessions_.find(key);
@@ -351,8 +328,7 @@ request_scheduler& mapping_service::ensure_scheduler() {
   const std::lock_guard<std::mutex> lock{mu_};
   if (!scheduler_)
     scheduler_ = std::make_unique<request_scheduler>(
-        opt_.scheduler, opt_.workers, [this](const mapping_request& r) { return map(r); },
-        [this](std::span<const mapping_request> rs) { return map_fused(rs); });
+        opt_.scheduler, opt_.workers, [this](const mapping_request& r) { return map(r); });
   return *scheduler_;
 }
 

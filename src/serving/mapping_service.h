@@ -26,7 +26,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,16 +137,6 @@ class mapping_service {
   /// validation of the Pareto picks. Safe to call from any thread; racing
   /// calls on one session share its memo cache and in-flight runs.
   [[nodiscard]] mapping_report map(const mapping_request& req);
-
-  /// Serves a fused dispatch group (see scheduler_options::max_fused): runs
-  /// every request concurrently — they share one session and therefore one
-  /// engine, whose cross-thread in-flight dedup amortizes evaluation across
-  /// the group. Returns exactly one outcome per request, index-aligned;
-  /// per-request failures are isolated into `fused_outcome::error`, never
-  /// thrown. Each report is bit-identical to what a serial `map()` would
-  /// produce (evaluations are pure and the search is seed-deterministic);
-  /// only engine cache counters and the stamped scheduler note may differ.
-  [[nodiscard]] std::vector<fused_outcome> map_fused(std::span<const mapping_request> reqs);
 
   /// Admits the request into the service scheduler and returns immediately
   /// (except under `admission_policy::block` with a full queue, where the

@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -111,16 +110,14 @@ struct scheduler_stats {
   std::size_t expired = 0;    ///< dropped from the queue past their deadline
   std::size_t completed = 0;  ///< executions that returned a report
   std::size_t failed = 0;     ///< executions that threw
-  /// Distinct requests dispatched as *followers* of a fused batch — i.e.
-  /// beyond each batch's lead pick (see scheduler_options::max_fused).
-  /// A sub-classification of admitted work, not a new outcome: every fused
-  /// request still lands in exactly one of completed/failed, so the
-  /// admitted == completed + failed + expired + queued + inflight
-  /// reconciliation holds unchanged. Invariant: fused_batches <= fused.
+  /// Always 0: the scheduler runs one request per pick. Kept, and still
+  /// written in the report's 9-field `scheduler` row, only because the
+  /// frozen repository benchmark (perfbench/) reads them; they go in the
+  /// next benchmark change.
   std::size_t fused = 0;
-  std::size_t fused_batches = 0;  ///< dispatch groups of size >= 2
-  std::size_t queued = 0;         ///< gauge: items waiting for a worker
-  std::size_t inflight = 0;   ///< gauge: items currently executing
+  std::size_t fused_batches = 0;
+  std::size_t queued = 0;    ///< gauge: items waiting for a worker
+  std::size_t inflight = 0;  ///< gauge: items currently executing
   /// Gauge: executing items per session lane (key = the fairness lane,
   /// i.e. the session key the request resolves to).
   std::unordered_map<std::string, std::size_t> inflight_per_session;
@@ -185,15 +182,6 @@ struct mapping_report {
   /// its headline scalars, entries labeled `front-<i>` plus `+ours-L` /
   /// `+ours-E` tags on the picks.
   [[nodiscard]] core::report_summary summary() const;
-};
-
-/// Outcome of one request inside a fused dispatch group (see
-/// request_scheduler's fused_executor): exactly one of `report` (success)
-/// or `error` (the exception the request's future should rethrow) is
-/// meaningful — a set `error` wins.
-struct fused_outcome {
-  mapping_report report;
-  std::exception_ptr error;
 };
 
 }  // namespace mapcq::serving

@@ -22,11 +22,7 @@ namespace {
 }  // namespace
 
 request_scheduler::request_scheduler(scheduler_options opt, std::size_t workers, executor run)
-    : request_scheduler(std::move(opt), workers, std::move(run), nullptr) {}
-
-request_scheduler::request_scheduler(scheduler_options opt, std::size_t workers, executor run,
-                                     fused_executor run_fused)
-    : opt_(std::move(opt)), run_(std::move(run)), run_fused_(std::move(run_fused)) {
+    : opt_(std::move(opt)), run_(std::move(run)) {
   if (!run_) throw std::invalid_argument("request_scheduler: null executor");
   if (opt_.default_weight == 0) opt_.default_weight = 1;
   if (workers == 0) workers = 1;
@@ -135,52 +131,6 @@ request_scheduler::item_ptr request_scheduler::pick_next_locked() {
   return nullptr;
 }
 
-void request_scheduler::expire_item_locked(const item_ptr& item) {
-  // Drop-on-expired-deadline: the request waited past its budget, so
-  // running it now would only waste evaluator time.
-  ++counters_.expired;
-  if (!item->fingerprint.empty()) pending_.erase(pending_key(item->lane, item->fingerprint));
-  item->promise.set_exception(std::make_exception_ptr(
-      admission_error{admission_error::reason::deadline_expired,
-                      "request_scheduler: deadline expired after " +
-                          std::to_string(item->req.deadline.count()) + "ms queued"}));
-}
-
-std::vector<request_scheduler::item_ptr> request_scheduler::fuse_group_locked(item_ptr lead) {
-  std::vector<item_ptr> group;
-  group.push_back(std::move(lead));
-  if (opt_.max_fused == 1) return group;
-  const auto queue_it = queues_.find(group.front()->req.priority);
-  if (queue_it != queues_.end()) {
-    const std::string& lane = group.front()->lane;
-    while (opt_.max_fused == 0 || group.size() < opt_.max_fused) {
-      // Followers must fit under the lane's in-flight cap together with the
-      // rest of the group (the whole group goes in flight at once).
-      if (opt_.max_inflight_per_session != 0) {
-        const auto running_it = inflight_per_lane_.find(lane);
-        const std::size_t running =
-            running_it == inflight_per_lane_.end() ? 0 : running_it->second;
-        if (running + group.size() >= opt_.max_inflight_per_session) break;
-      }
-      std::optional<item_ptr> follower = queue_it->second.pop_from(lane);
-      if (!follower) break;
-      --queued_count_;
-      cv_space_.notify_one();  // the drain freed admission-queue space
-      if (std::chrono::steady_clock::now() > (*follower)->expiry) {
-        expire_item_locked(*follower);
-        continue;
-      }
-      group.push_back(std::move(*follower));
-    }
-    if (queue_it->second.empty()) queues_.erase(queue_it);
-  }
-  if (group.size() > 1) {
-    counters_.fused += group.size() - 1;
-    ++counters_.fused_batches;
-  }
-  return group;
-}
-
 void request_scheduler::worker_loop() {
   std::unique_lock<std::mutex> lock{mu_};
   for (;;) {
@@ -194,72 +144,48 @@ void request_scheduler::worker_loop() {
     cv_space_.notify_one();  // the dequeue freed admission-queue space
 
     if (std::chrono::steady_clock::now() > item->expiry) {
-      expire_item_locked(item);
+      // Drop-on-expired-deadline: the request waited past its budget, so
+      // running it now would only waste evaluator time.
+      ++counters_.expired;
+      if (!item->fingerprint.empty()) pending_.erase(pending_key(item->lane, item->fingerprint));
+      item->promise.set_exception(std::make_exception_ptr(
+          admission_error{admission_error::reason::deadline_expired,
+                          "request_scheduler: deadline expired after " +
+                              std::to_string(item->req.deadline.count()) + "ms queued"}));
       if (queued_count_ == 0 && inflight_count_ == 0) cv_idle_.notify_all();
       continue;
     }
 
-    const std::vector<item_ptr> group = fuse_group_locked(std::move(item));
-    inflight_count_ += group.size();
-    inflight_per_lane_[group.front()->lane] += group.size();
+    ++inflight_count_;
+    ++inflight_per_lane_[item->lane];
     lock.unlock();
 
-    std::vector<fused_outcome> outcomes(group.size());
-    if (group.size() == 1 || !run_fused_) {
-      // Serial dispatch: one run_ per member, per-member error isolation.
-      // (A fused group without a fused executor still counted as fused —
-      // the drain and single dispatch happened; only the execution loops.)
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        try {
-          outcomes[i].report = run_(group[i]->req);
-        } catch (...) {
-          outcomes[i].error = std::current_exception();
-        }
-      }
-    } else {
-      std::vector<mapping_request> reqs;
-      reqs.reserve(group.size());
-      for (const item_ptr& member : group) reqs.push_back(member->req);
-      try {
-        outcomes = run_fused_(reqs);
-        if (outcomes.size() != group.size())
-          throw std::runtime_error("request_scheduler: fused executor returned " +
-                                   std::to_string(outcomes.size()) + " outcomes for " +
-                                   std::to_string(group.size()) + " requests");
-      } catch (...) {
-        // Whole-call failure fails the whole group; per-request failures
-        // should have been isolated via fused_outcome::error instead.
-        outcomes.assign(group.size(), fused_outcome{});
-        for (fused_outcome& o : outcomes) o.error = std::current_exception();
-      }
+    mapping_report report;
+    std::exception_ptr error;
+    try {
+      report = run_(item->req);
+    } catch (...) {
+      error = std::current_exception();
     }
 
     lock.lock();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      if (outcomes[i].error)
-        ++counters_.failed;
-      else
-        ++counters_.completed;
-    }
-    inflight_count_ -= group.size();
-    const auto lane_it = inflight_per_lane_.find(group.front()->lane);
-    if (lane_it != inflight_per_lane_.end()) {
-      lane_it->second -= group.size();
-      if (lane_it->second == 0) inflight_per_lane_.erase(lane_it);
-    }
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const item_ptr& member = group[i];
-      if (!member->fingerprint.empty())
-        pending_.erase(pending_key(member->lane, member->fingerprint));
-      // Fulfill under the lock: whoever observes the future ready also
-      // observes counters that already include this completion, and the
-      // stamped snapshot counts the report it rides in.
-      if (outcomes[i].error) {
-        member->promise.set_exception(outcomes[i].error);
-      } else {
-        outcomes[i].report.scheduler = stats_locked();
-        member->promise.set_value(std::move(outcomes[i].report));
-      }
+    if (error)
+      ++counters_.failed;
+    else
+      ++counters_.completed;
+    --inflight_count_;
+    const auto lane_it = inflight_per_lane_.find(item->lane);
+    if (lane_it != inflight_per_lane_.end() && --lane_it->second == 0)
+      inflight_per_lane_.erase(lane_it);
+    if (!item->fingerprint.empty()) pending_.erase(pending_key(item->lane, item->fingerprint));
+    // Fulfill under the lock: whoever observes the future ready also
+    // observes counters that already include this completion, and the
+    // stamped snapshot counts the report it rides in.
+    if (error) {
+      item->promise.set_exception(error);
+    } else {
+      report.scheduler = stats_locked();
+      item->promise.set_value(std::move(report));
     }
     // A lane at its in-flight cap may have become dispatchable.
     if (opt_.max_inflight_per_session != 0) cv_work_.notify_all();

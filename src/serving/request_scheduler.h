@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -98,19 +97,6 @@ struct scheduler_options {
   /// rotation (>= 1); `weights` overrides it per session key.
   std::size_t default_weight = 1;
   std::unordered_map<std::string, std::size_t> weights;
-  /// Cross-request batch fusion: after a worker wins a pick, it drains up
-  /// to `max_fused - 1` more *distinct* queued requests of the same session
-  /// lane (and priority class) and dispatches the whole group at once
-  /// through the fused executor, so the shared session's engine amortizes
-  /// evaluation across requests. 1 disables fusion (the default — serial
-  /// dispatch, exactly the pre-fusion behavior); 0 fuses without bound.
-  /// Followers ride the lead's WRR grant (they consume no lane credits)
-  /// and still respect `max_inflight_per_session`; expired followers are
-  /// dropped individually while draining. Reports are bit-identical to
-  /// serial dispatch (pure evaluations + seed-deterministic search; pinned
-  /// by tests/test_batch_evaluator.cpp), only the stamped fused counters
-  /// differ.
-  std::size_t max_fused = 1;
 };
 
 /// The admission/fairness/coalescing layer (see file comment). Generic over
@@ -119,25 +105,11 @@ struct scheduler_options {
 class request_scheduler {
  public:
   using executor = std::function<mapping_report(const mapping_request&)>;
-  /// Runs a fused dispatch group (scheduler_options::max_fused) in one
-  /// call. Must return exactly one outcome per request, index-aligned; a
-  /// throw (or a wrong-sized return) fails the whole group. Per-request
-  /// failures should be isolated by returning them as `fused_outcome::
-  /// error` instead.
-  using fused_executor =
-      std::function<std::vector<fused_outcome>(std::span<const mapping_request>)>;
 
   /// Spawns `workers` dispatch threads (at least one) that pull admitted
-  /// requests in priority + weighted-round-robin order and run `run`.
+  /// requests in priority + weighted-round-robin order and run `run`, one
+  /// request per pick.
   request_scheduler(scheduler_options opt, std::size_t workers, executor run);
-
-  /// Same, with a fused executor for dispatch groups of size >= 2 (only
-  /// reached when `opt.max_fused != 1`). Without one, fused groups fall
-  /// back to running `run` per member back to back — still one dispatch,
-  /// still counted in `fused`/`fused_batches`, with per-member error
-  /// isolation.
-  request_scheduler(scheduler_options opt, std::size_t workers, executor run,
-                    fused_executor run_fused);
 
   /// Fails queued requests with admission_error(shutdown), wakes blocked
   /// submitters, and joins the workers (waits for executing requests only).
@@ -191,18 +163,10 @@ class request_scheduler {
   /// Highest-priority eligible item in WRR order; null when none. Caller
   /// holds `mu_`.
   [[nodiscard]] item_ptr pick_next_locked();
-  /// Drains up to `max_fused - 1` same-lane followers of `lead` from its
-  /// priority queue (expiring stale ones on the way) and bumps the fused
-  /// counters when the group ends up larger than one. Caller holds `mu_`.
-  [[nodiscard]] std::vector<item_ptr> fuse_group_locked(item_ptr lead);
-  /// Deadline-expires one dequeued item: counter, pending_ erase, typed
-  /// exception on the promise. Caller holds `mu_`.
-  void expire_item_locked(const item_ptr& item);
   [[nodiscard]] scheduler_stats stats_locked() const;
 
   scheduler_options opt_;
   executor run_;
-  fused_executor run_fused_;  ///< may be null: fused groups then loop `run_`
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   ///< workers wait for pickable items

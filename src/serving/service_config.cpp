@@ -17,6 +17,18 @@ using util::json::value;
   throw config_error(path, message);
 }
 
+/// The one integer rule of every config field: a JSON number that is a
+/// non-negative integer no larger than 2^53, the last one a double holds
+/// exactly (larger values would also overflow the cast below).
+template <class UInt>
+UInt as_uint(const value& v, const std::string& path) {
+  constexpr double exact = 9007199254740992.0;  // 2^53
+  if (!v.is_number()) fail(path, "expected a non-negative integer");
+  const double d = v.as_number();
+  if (d < 0.0 || d != std::floor(d) || d > exact) fail(path, "expected a non-negative integer");
+  return static_cast<UInt>(d);
+}
+
 std::string join(const std::string& path, std::string_view key) {
   return path.empty() ? std::string(key) : path + "." + std::string(key);
 }
@@ -67,14 +79,7 @@ class object_reader {
 
   template <class UInt>
   void get_uint(std::string_view key, UInt& out) {
-    if (const value* v = take(key)) {
-      if (!v->is_number()) fail(member_path(key), "expected a non-negative integer");
-      const double d = v->as_number();
-      constexpr double exact = 9007199254740992.0;  // 2^53
-      if (d < 0.0 || d != std::floor(d) || d > exact)
-        fail(member_path(key), "expected a non-negative integer");
-      out = static_cast<UInt>(d);
-    }
+    if (const value* v = take(key)) out = as_uint<UInt>(*v, member_path(key));
   }
 
   void get_ms(std::string_view key, std::chrono::milliseconds& out) {
@@ -189,7 +194,6 @@ value to_json(const core::engine_options& opt) {
   obj.push_member("capacity", opt.capacity);
   obj.push_member("threads", opt.threads);
   obj.push_member("memoize", opt.memoize);
-  obj.push_member("soa_batch", opt.soa_batch);
   return obj;
 }
 
@@ -199,7 +203,6 @@ void from_json(const value& v, core::engine_options& out, const std::string& pat
   r.get_uint("capacity", out.capacity);
   r.get_uint("threads", out.threads);
   r.get("memoize", out.memoize);
-  r.get("soa_batch", out.soa_batch);
   r.finish();
   validate(out, path);
 }
@@ -341,7 +344,6 @@ value to_json(const scheduler_options& opt) {
   value obj{util::json::object{}};
   obj.push_member("max_queued", opt.max_queued);
   obj.push_member("max_inflight_per_session", opt.max_inflight_per_session);
-  obj.push_member("max_fused", opt.max_fused);
   obj.push_member("policy", enum_to_string(opt.policy, policy_names));
   obj.push_member("coalesce", opt.coalesce);
   obj.push_member("default_weight", opt.default_weight);
@@ -359,7 +361,6 @@ void from_json(const value& v, scheduler_options& out, const std::string& path) 
   object_reader r{v, path};
   r.get_uint("max_queued", out.max_queued);
   r.get_uint("max_inflight_per_session", out.max_inflight_per_session);
-  r.get_uint("max_fused", out.max_fused);
   r.get_enum("policy", out.policy, policy_names);
   r.get("coalesce", out.coalesce);
   r.get_uint("default_weight", out.default_weight);
@@ -367,13 +368,8 @@ void from_json(const value& v, scheduler_options& out, const std::string& path) 
     const std::string wpath = r.member_path("weights");
     if (!w->is_object()) fail(wpath, "expected an object of session-key -> weight");
     out.weights.clear();
-    for (const auto& [lane, weight] : w->as_object()) {
-      const std::string lpath = join(wpath, lane);
-      if (!weight.is_number() || weight.as_number() != std::floor(weight.as_number()) ||
-          weight.as_number() < 0.0)
-        fail(lpath, "expected a non-negative integer");
-      out.weights[lane] = static_cast<std::size_t>(weight.as_number());
-    }
+    for (const auto& [lane, weight] : w->as_object())
+      out.weights[lane] = as_uint<std::size_t>(weight, join(wpath, lane));
   }
   r.finish();
   validate(out, path);
@@ -544,10 +540,7 @@ void from_json(const value& v, soc::resident_load& out, const std::string& path)
     out.reserved_units.clear();
     for (std::size_t i = 0; i < units->as_array().size(); ++i) {
       const std::string epath = upath + "[" + std::to_string(i) + "]";
-      const value& e = units->as_array()[i];
-      if (!e.is_number() || e.as_number() < 0.0 || e.as_number() != std::floor(e.as_number()))
-        fail(epath, "expected a non-negative integer");
-      out.reserved_units.push_back(static_cast<std::size_t>(e.as_number()));
+      out.reserved_units.push_back(as_uint<std::size_t>(units->as_array()[i], epath));
     }
   }
   r.finish();
@@ -600,10 +593,7 @@ void from_json(const value& v, soc::contention_context& out, const std::string& 
     out.dvfs_cap.clear();
     for (std::size_t i = 0; i < cap->as_array().size(); ++i) {
       const std::string epath = cpath + "[" + std::to_string(i) + "]";
-      const value& e = cap->as_array()[i];
-      if (!e.is_number() || e.as_number() < 0.0 || e.as_number() != std::floor(e.as_number()))
-        fail(epath, "expected a non-negative integer");
-      out.dvfs_cap.push_back(static_cast<std::size_t>(e.as_number()));
+      out.dvfs_cap.push_back(as_uint<std::size_t>(cap->as_array()[i], epath));
     }
   }
   if (const value* thermal = r.take("thermal")) {

@@ -115,36 +115,6 @@ class wrr_queue {
     return pop([](const std::string&) { return true; });
   }
 
-  /// Pops the oldest item of `key`'s lane directly, bypassing the cursor
-  /// and the lane's per-visit credit — the cross-request fusion hook:
-  /// followers of a fused dispatch ride the WRR grant their lead already
-  /// won, so draining them must not charge the lane a second visit.
-  /// Returns std::nullopt when the lane has nothing queued.
-  [[nodiscard]] std::optional<T> pop_from(const std::string& key) {
-    const auto lane_it = lanes_.find(key);
-    if (lane_it == lanes_.end() || lane_it->second.items.empty()) return std::nullopt;
-    lane& l = lane_it->second;
-    T item = std::move(l.items.front());
-    l.items.pop_front();
-    --total_;
-    if (l.items.empty()) {
-      // Mirror pop(): a drained lane leaves the ring immediately. The key
-      // appears in the ring exactly once (push only inserts it when the
-      // lane (re)joins), and erasing the cursor's node must advance it.
-      for (auto it = ring_.begin(); it != ring_.end(); ++it) {
-        if (*it == key) {
-          if (cursor_ == it)
-            cursor_ = ring_.erase(it);
-          else
-            ring_.erase(it);
-          break;
-        }
-      }
-      lanes_.erase(lane_it);
-    }
-    return item;
-  }
-
   /// Total queued items across all lanes.
   [[nodiscard]] std::size_t size() const noexcept { return total_; }
   [[nodiscard]] bool empty() const noexcept { return total_ == 0; }

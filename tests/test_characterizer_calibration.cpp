@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/models.h"
 #include "perf/calibration.h"
 #include "perf/characterizer.h"
 #include "perf/single_cu.h"
 #include "soc/platform.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -117,6 +120,28 @@ TEST(calibration, dlas_identical_after_calibration) {
   const auto& dla1 = cal.plat.unit(2);
   EXPECT_DOUBLE_EQ(dla0.efficiency_spatial, dla1.efficiency_spatial);
   EXPECT_DOUBLE_EQ(dla0.activity_matmul, dla1.activity_matmul);
+}
+
+TEST(calibration, calibrated_xavier_is_pinned_bit_for_bit) {
+  // Every calibrated scalar at %.17g. The bisections stop at their fixed
+  // point instead of running all 100 steps; that must not move a bit.
+  const auto vis = nn::build_visformer();
+  const auto vgg = nn::build_vgg19();
+  const auto cal = perf::calibrated_xavier(vis, vgg);
+  const std::string gpu =
+      "0.0029632286126736631 0.0038656780333981965 0.77848001218857554 0.2479719194432346 30";
+  const std::string dla =
+      "0.0025613328265993718 0.0032624409299173212 0.67085133244585848 0.11553420943632911 "
+      "1.6000000000000001";
+  ASSERT_EQ(cal.plat.size(), 3u);
+  for (std::size_t u = 0; u < cal.plat.size(); ++u) {
+    const soc::compute_unit& cu = cal.plat.unit(u);
+    EXPECT_EQ(util::format("%.17g %.17g %.17g %.17g %.17g", cu.efficiency_spatial,
+                           cu.efficiency_matmul, cu.activity_spatial, cu.activity_matmul,
+                           cu.dynamic_power_w),
+              u == 0 ? gpu : dla)
+        << cu.name;
+  }
 }
 
 TEST(calibration, rejects_bad_anchors) {

@@ -89,7 +89,7 @@ TEST(config_round_trip, every_options_struct_survives_json) {
   core::engine_options engine;
   engine.shards = 8;
   engine.capacity = 1234;
-  engine.soa_batch = false;
+  engine.memoize = false;
   expect_round_trip(engine);
 
   core::ga_options ga;
@@ -178,11 +178,32 @@ void expect_config_error(const std::string& text, const std::string& path_substr
   }
 }
 
+/// Rejected at exactly `path` with exactly `message`.
+void expect_error_at(const std::string& text, const std::string& path,
+                     const std::string& message) {
+  try {
+    (void)serving::parse_config(text);
+    FAIL() << "accepted config with bad key " << path;
+  } catch (const config_error& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(std::string(e.what()), "config error at " + path + ": " + message);
+  }
+}
+
+/// An integer field given a number beyond 2^53: rejected by the one
+/// non-negative-integer rule every integer field shares.
+void expect_uint_error(const std::string& text, const std::string& path) {
+  expect_error_at(text, path, "expected a non-negative integer");
+}
+
 TEST(config_errors, unknown_keys_are_rejected_by_path) {
   expect_config_error(R"({"typo_workers": 2})", "typo_workers");
   expect_config_error(R"({"engine": {"shard_count": 4}})", "engine.shard_count");
   expect_config_error(R"({"ga": {"island": {"migrantz": 1}}})", "ga.island.migrantz");
   expect_config_error(R"({"scheduler": {"policy": "drop"}})", "scheduler.policy");
+  // Deleted knobs are unknown keys too: an old config fails loudly at boot.
+  expect_error_at(R"({"engine": {"soa_batch": true}})", "engine.soa_batch", "unknown key");
+  expect_error_at(R"({"scheduler": {"max_fused": 1}})", "scheduler.max_fused", "unknown key");
 }
 
 TEST(config_errors, out_of_range_values_are_rejected_by_path) {
@@ -196,6 +217,13 @@ TEST(config_errors, out_of_range_values_are_rejected_by_path) {
   // Wrong types are config errors too, not bare json errors.
   expect_config_error(R"({"ga": {"generations": "many"}})", "ga.generations");
   expect_config_error(R"({"engine": "fast"})", "engine");
+  // Integers beyond 2^53, in a scalar field and in the weights map.
+  for (const std::string big : {"1e300", "18446744073709551616"}) {
+    SCOPED_TRACE(big);
+    expect_uint_error(R"({"engine": {"capacity": )" + big + "}}", "engine.capacity");
+    expect_uint_error(R"({"scheduler": {"weights": {"a": )" + big + "}}}",
+                      "scheduler.weights.a");
+  }
 }
 
 TEST(config_errors, islands_must_fit_the_population) {
@@ -215,6 +243,13 @@ TEST(config_errors, scenario_block_is_validated_by_path) {
                       "scenario.thermal");
   expect_config_error(R"({"scenario": {"thermal": {"tau_z": 3}}})", "scenario.thermal.tau_z");
   expect_config_error(R"({"scenario": {"dvfs_cap": "high"}})", "scenario.dvfs_cap");
+  for (const std::string big : {"1e300", "18446744073709551616"}) {
+    SCOPED_TRACE(big);
+    expect_uint_error(R"({"scenario": {"dvfs_cap": [)" + big + "]}}", "scenario.dvfs_cap[0]");
+    const std::string resident = R"({"name": "a", "reserved_units": [)" + big + "]}";
+    expect_uint_error(R"({"scenario": {"residents": [)" + resident + "]}}",
+                      "scenario.residents[0].reserved_units[0]");
+  }
 }
 
 TEST(config_errors, load_config_names_the_missing_file) {

@@ -1,12 +1,13 @@
 // Memoizing evaluation-engine tests: hash/equality identity, bit-identical
 // cached results, in-batch dedup, cross-thread in-flight dedup, async batch
-// futures, concurrent batch determinism, capacity eviction and GA
-// cache-stat accounting.
+// futures, concurrent batch determinism, capacity eviction, GA cache-stat
+// accounting and evaluator failures inside a batch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -356,6 +357,46 @@ TEST_F(engine_fixture, dropping_an_async_future_still_populates_the_cache) {
   const auto s = engine.stats();
   EXPECT_EQ(s.misses, configs.size());
   EXPECT_EQ(s.hits + s.inflight, configs.size());
+}
+
+TEST_F(engine_fixture, evaluator_exception_fails_the_batch_but_not_its_neighbours) {
+  // A DVFS level past the unit's table makes configuration::validate throw
+  // std::logic_error inside evaluator::evaluate.
+  const auto good = random_configs(2, 47);
+  configuration bad = good[0];
+  bad.dvfs[0] = plat.unit(0).dvfs.levels();
+  const std::vector<configuration> batch{good[0], bad, good[1], bad};
+
+  // After the failed batch: every good candidate was published despite its
+  // failing neighbour, and the bad one left no in-flight slot behind (a
+  // leaked slot would be joined, or hang, instead of running again).
+  const auto expect_recovered = [&](evaluation_engine& engine) {
+    for (const configuration& c : good) expect_identical(engine.evaluate(c), eval.evaluate(c));
+    EXPECT_THROW((void)engine.evaluate(bad), std::logic_error);
+    const auto s = engine.stats();
+    EXPECT_EQ(s.hits, good.size());
+    EXPECT_EQ(s.misses, 4u);
+    EXPECT_EQ(s.inflight, 0u);
+  };
+
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{1}}) {
+    SCOPED_TRACE(threads);
+    engine_options opt;
+    opt.threads = threads;
+
+    evaluation_engine sync_engine{eval, opt};
+    EXPECT_THROW((void)sync_engine.evaluate_batch(batch), std::logic_error);
+    EXPECT_EQ(sync_engine.stats().misses, 3u);
+    EXPECT_EQ(sync_engine.stats().dedup, 1u);
+    expect_recovered(sync_engine);
+
+    evaluation_engine async_engine{eval, opt};
+    std::future<std::vector<evaluation>> fut = async_engine.evaluate_batch_async(batch);
+    EXPECT_THROW((void)fut.get(), std::logic_error);
+    EXPECT_EQ(async_engine.stats().misses, 3u);
+    EXPECT_EQ(async_engine.stats().dedup, 1u);
+    expect_recovered(async_engine);
+  }
 }
 
 TEST(hashing, combine_is_order_and_length_sensitive) {

@@ -1,13 +1,21 @@
 // Evaluation pipeline tests: metrics, constraints, surrogate path, static
-// vs dynamic exits, idle accounting.
+// vs dynamic exits, idle accounting, and `evaluate_batch` against
+// element-wise `evaluate`.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/baselines.h"
 #include "core/evaluator.h"
+#include "core/search_space.h"
+#include "core/serialization.h"
 #include "nn/models.h"
 #include "perf/calibration.h"
 #include "surrogate/dataset.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -149,6 +157,104 @@ TEST_F(evaluator_fixture, rejects_bad_options) {
   evaluator_options opt2;
   opt2.limits.fmap_reuse_cap = 1.5;
   EXPECT_THROW((evaluator{net, plat, opt2}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// evaluate_batch == evaluate, field-exact.
+// ---------------------------------------------------------------------------
+
+void expect_eval_identical(const evaluation& a, const evaluation& b) {
+  EXPECT_TRUE(a.config == b.config);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.reject_reason, b.reject_reason);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.avg_latency_ms, b.avg_latency_ms);
+  EXPECT_EQ(a.avg_energy_mj, b.avg_energy_mj);
+  EXPECT_EQ(a.worst_latency_ms, b.worst_latency_ms);
+  EXPECT_EQ(a.worst_energy_mj, b.worst_energy_mj);
+  EXPECT_EQ(a.accuracy_pct, b.accuracy_pct);
+  EXPECT_EQ(a.last_stage_accuracy_pct, b.last_stage_accuracy_pct);
+  EXPECT_EQ(a.fmap_reuse_pct, b.fmap_reuse_pct);
+  EXPECT_EQ(a.stored_fmap_bytes, b.stored_fmap_bytes);
+  EXPECT_EQ(a.fmap_traffic_bytes, b.fmap_traffic_bytes);
+  EXPECT_EQ(a.stage_latency_ms, b.stage_latency_ms);
+  EXPECT_EQ(a.stage_energy_mj, b.stage_energy_mj);
+  EXPECT_EQ(a.stage_accuracy_pct, b.stage_accuracy_pct);
+  EXPECT_EQ(a.exit_fractions, b.exit_fractions);
+}
+
+/// The %.17g text check on top of field equality: a serialized evaluation
+/// must round-trip byte-identically, which is the contract session
+/// snapshots depend on.
+std::string eval_text(const evaluation& e) {
+  std::ostringstream os;
+  core::write_evaluation(os, e);
+  return os.str();
+}
+
+TEST(batch_evaluator, evaluate_batch_matches_scalar_across_networks) {
+  const nn::network nets[] = {nn::build_simple_cnn(), nn::build_mobilenet_cifar()};
+  const soc::platform plats[] = {soc::agx_xavier(), soc::agx_xavier_with_cpu()};
+  for (const nn::network& net : nets) {
+    for (const soc::platform& plat : plats) {
+      for (const bool idle : {false, true}) {
+        evaluator_options opt;
+        opt.count_idle_power = idle;
+        const evaluator eval{net, plat, opt};
+        const core::search_space space{net, plat};
+        util::rng gen{net.name.size() + plat.size() + (idle ? 1u : 0u)};
+        for (const std::size_t batch :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{37}}) {
+          std::vector<configuration> configs;
+          for (std::size_t i = 0; i < batch; ++i)
+            configs.push_back(space.decode(space.random(gen)));
+          std::vector<const configuration*> ptrs;
+          for (const configuration& c : configs) ptrs.push_back(&c);
+          const std::vector<evaluation> got = eval.evaluate_batch(ptrs);
+          ASSERT_EQ(got.size(), batch);
+          for (std::size_t i = 0; i < batch; ++i) {
+            const evaluation want = eval.evaluate(configs[i]);
+            expect_eval_identical(got[i], want);
+            EXPECT_EQ(eval_text(got[i]), eval_text(want));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(batch_evaluator, evaluate_batch_matches_scalar_under_fixed_contention) {
+  // Any *fixed* contention state, not just the idle one: co-resident
+  // traffic (derated platform), a reserved CU (rejections + idle-power
+  // exclusion) and DVFS caps.
+  const nn::network net = nn::build_simple_cnn();
+  const soc::platform plat = soc::agx_xavier();
+  evaluator_options opt;
+  soc::resident_load neighbor;
+  neighbor.name = "neighbor";
+  neighbor.interconnect_gbps = 3.0;
+  neighbor.dram_gbps = 4.0;
+  neighbor.power_w = 1.0;
+  neighbor.reserved_units = {1};
+  opt.contention.residents.push_back(neighbor);
+  opt.contention.dvfs_cap.assign(plat.size(), 1);
+  const evaluator eval{net, plat, opt};
+  const core::search_space space{net, plat};
+  util::rng gen{41};
+  std::vector<configuration> configs;
+  for (std::size_t i = 0; i < 37; ++i) configs.push_back(space.decode(space.random(gen)));
+  std::vector<const configuration*> ptrs;
+  for (const configuration& c : configs) ptrs.push_back(&c);
+  const std::vector<evaluation> got = eval.evaluate_batch(ptrs);
+  ASSERT_EQ(got.size(), configs.size());
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const evaluation want = eval.evaluate(configs[i]);
+    expect_eval_identical(got[i], want);
+    EXPECT_EQ(eval_text(got[i]), eval_text(want));
+    if (!got[i].feasible) ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);  // the reserved CU actually bites in this sweep
 }
 
 TEST(baselines, single_cu_matches_calibration_targets) {

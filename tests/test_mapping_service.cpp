@@ -1,7 +1,8 @@
 // Serving front-end tests: session registry keying, warm-cache reuse with
 // bit-identical reports, cross-phase cache continuity, one-shot surrogate
 // training, async submission, concurrency (shared session vs isolated
-// sessions) and report-summary round-trips.
+// sessions), report-summary round-trips and the scheduler row's two
+// arities.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/search_space.h"
 #include "core/serialization.h"
 #include "nn/models.h"
 #include "serving/mapping_service.h"
 #include "soc/platform.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -145,6 +148,9 @@ TEST_F(service_fixture, submit_serves_async_and_propagates_errors) {
   // The submit() path rides through the scheduler and says so.
   ASSERT_TRUE(rep.scheduler.has_value());
   EXPECT_GE(rep.scheduler->completed, 1u);
+  // One request per pick: the legacy fusion counters never move.
+  EXPECT_EQ(rep.scheduler->fused, 0u);
+  EXPECT_EQ(rep.scheduler->fused_batches, 0u);
 
   // Unknown networks are admitted (the lane is computed leniently) and fail
   // inside the worker, surfacing at get() like any execution error.
@@ -391,6 +397,66 @@ TEST_F(service_fixture, orientation_selects_the_best_pick) {
   const mapping_report balanced = service.map(req);
   for (const auto& e : balanced.front)
     EXPECT_LE(balanced.best().objective, e.objective);
+}
+
+// ---------------------------------------------------------------------------
+// Serialization: the 9-field scheduler row and its 7-field legacy form.
+// ---------------------------------------------------------------------------
+
+/// A minimal-but-valid summary: report_summary_from_text rejects empty
+/// entry lists (pick indices would be out of range), so every round-trip
+/// carries one real configuration.
+core::report_summary one_entry_summary() {
+  core::report_summary s;
+  s.network = "n";
+  s.platform = "p";
+  const nn::network net = nn::build_simple_cnn();
+  const soc::platform plat = soc::agx_xavier();
+  const core::search_space space{net, plat};
+  util::rng gen{2};
+  core::summary_entry entry;
+  entry.label = "front-0+ours-L+ours-E";
+  entry.config = space.decode(space.random(gen));
+  s.entries.push_back(std::move(entry));
+  return s;
+}
+
+TEST(scheduler_note_roundtrip, fused_counters_survive_to_text_and_back) {
+  core::report_summary s = one_entry_summary();
+  core::scheduler_note note;
+  note.submitted = 9;
+  note.admitted = 6;
+  note.coalesced = 2;
+  note.rejected = 1;
+  note.expired = 0;
+  note.completed = 5;
+  note.failed = 1;
+  note.fused = 3;
+  note.fused_batches = 2;
+  s.scheduler = note;
+  const core::report_summary back = core::report_summary_from_text(core::to_text(s));
+  ASSERT_TRUE(back.scheduler.has_value());
+  EXPECT_EQ(back.scheduler->fused, 3u);
+  EXPECT_EQ(back.scheduler->fused_batches, 2u);
+  EXPECT_EQ(back.scheduler->submitted, 9u);
+  EXPECT_EQ(back.scheduler->failed, 1u);
+}
+
+TEST(scheduler_note_roundtrip, legacy_seven_field_row_parses_with_zero_fused) {
+  core::report_summary s = one_entry_summary();
+  s.scheduler = core::scheduler_note{9, 6, 2, 1, 0, 5, 1, 3, 2};
+  std::string text = core::to_text(s);
+  // Rewrite the scheduler row to the legacy 7-value arity.
+  const std::string nine = "scheduler 9 6 2 1 0 5 1 3 2";
+  const std::string seven = "scheduler 9 6 2 1 0 5 1";
+  const std::size_t pos = text.find(nine);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, nine.size(), seven);
+  const core::report_summary back = core::report_summary_from_text(text);
+  ASSERT_TRUE(back.scheduler.has_value());
+  EXPECT_EQ(back.scheduler->completed, 5u);
+  EXPECT_EQ(back.scheduler->fused, 0u);
+  EXPECT_EQ(back.scheduler->fused_batches, 0u);
 }
 
 }  // namespace
