@@ -3,9 +3,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
 #include "util/strings.h"
+#include "util/text_rows.h"
 
 namespace mapcq::core {
 
@@ -16,83 +16,13 @@ constexpr const char* report_tag = "mapcq-report-v1";
 constexpr const char* trace_tag = "mapcq-trace-v1";
 constexpr const char* eval_tag = "mapcq-eval-v1";
 
-std::string next_line(std::istream& is, const char* what) {
-  std::string line;
-  if (!std::getline(is, line))
-    throw std::runtime_error(std::string("serialization: missing ") + what);
-  return line;
-}
-
-// --- shared key/value row writer/reader ------------------------------------
-// One writer for every `key v1 v2 ...` row in the formats (report entry
-// scalars, scheduler/refresh counter lines, trace records) instead of the
-// three hand-rolled emitters this file used to carry. Values parse
-// token-wise through std::sto* so the non-finite scalars the report format
-// legitimately contains ("inf" objectives of infeasible picks) round-trip —
-// stream extraction refuses the "inf"/"nan" it itself printed.
-
-template <class... Ts>
-void write_row(std::ostream& os, const char* key, const Ts&... values) {
-  os << key;
-  ((os << ' ' << values), ...);
-  os << '\n';
-}
-
-template <class T>
-void parse_token(const std::string& token, T& out) {
-  if constexpr (std::is_floating_point_v<T>)
-    out = static_cast<T>(std::stod(token));
-  else if constexpr (std::is_signed_v<T>)
-    out = static_cast<T>(std::stoll(token));
-  else
-    out = static_cast<T>(std::stoull(token));
-}
-
-/// Parses `line` as a `key v1 v2 ...` row into `values`. Returns false on a
-/// key mismatch (the caller may treat the row as optional); throws on a row
-/// that matches the key but is short or non-numeric.
-template <class... Ts>
-bool try_parse_row(const std::string& line, const char* key, Ts&... values) {
-  std::istringstream ls{line};
-  std::string k;
-  if (!(ls >> k) || k != key) return false;
-  const auto next = [&](auto& out) {
-    std::string token;
-    if (!(ls >> token)) throw std::runtime_error(std::string("serialization: short row for ") + key);
-    try {
-      parse_token(token, out);
-    } catch (const std::exception&) {
-      throw std::runtime_error(std::string("serialization: bad value for ") + key);
-    }
-  };
-  (next(values), ...);
-  return true;
-}
-
-/// Reads the next line and parses it as a mandatory `key ...` row.
-template <class... Ts>
-void read_row(std::istream& is, const char* key, Ts&... values) {
-  if (!try_parse_row(next_line(is, key), key, values...))
-    throw std::runtime_error(std::string("serialization: expected ") + key);
-}
-
-/// Reads a `key value...` line and returns everything after "key " verbatim
-/// (values such as network names may contain spaces).
-std::string read_tail(std::istream& is, const char* key) {
-  const std::string line = next_line(is, key);
-  const std::string prefix = std::string(key) + ' ';
-  if (line.rfind(prefix, 0) != 0) {
-    if (line == key) return "";
-    throw std::runtime_error(std::string("serialization: expected ") + key);
-  }
-  return line.substr(prefix.size());
-}
-
-std::size_t read_sized(std::istream& is, const char* key) {
-  std::size_t v = 0;
-  read_row(is, key, v);
-  return v;
-}
+using util::next_line;
+using util::parse_token;
+using util::read_row;
+using util::read_sized;
+using util::read_tail;
+using util::try_parse_row;
+using util::write_row;
 
 double read_scalar(std::istream& is, const char* key) {
   double v = 0.0;

@@ -15,6 +15,8 @@ struct model_options {
   /// shared DRAM: bw_eff = bw / (1 + contention * (stages - 1)).
   double bandwidth_contention = 0.10;
   bool enable_contention = true;
+
+  [[nodiscard]] bool operator==(const model_options&) const = default;
 };
 
 /// Latency (ms) of executing `cost` on `cu` at DVFS `level` with

@@ -1,22 +1,28 @@
 #pragma once
-// The unified, serializable configuration surface of the serving stack
-// (ROADMAP: "config + replay refactor"). Every knob the system grew across
-// the engine / GA / scheduler / refresh layers is code-only without this
-// file; here each options struct gains `to_json` / `from_json` / `validate`
-// bindings, composed into one top-level `service_config` so a
-// `mapping_service` can be booted from a JSON file and every
-// `mapping_report` can record the exact effective config that produced it.
+// The unified, serializable configuration surface of the serving stack.
+// Every knob the engine / GA / scheduler / refresh / snapshot / group /
+// scenario layers expose is bound to JSON here and composed into one
+// top-level `service_config`, so a `mapping_service` can be booted from a
+// JSON file and every `mapping_report` can record the exact effective
+// config that produced it.
+//
+// Each option struct, and each block nested in one, has one field list in
+// service_config.cpp that names every JSON key beside its member, once, in
+// dump order. The writer behind to_json / dump_config and the reader behind
+// from_json both walk that list, so a key added there is dumped, parsed,
+// rejected when misspelt and overridable with --set without further code.
 //
 // Contract of the bindings:
-//   * to_json(x) emits every field, defaults included, in declaration
-//     order — dump(to_json(x)) is deterministic, so equal configs always
-//     serialize to byte-identical text (the bit-identity tests gate on it).
-//   * from_json starts from the struct's defaults, overwrites the fields
-//     present, rejects unknown keys, and range-checks via validate(). All
-//     failures throw `config_error` naming the dotted key path
-//     ("ga.elite_fraction"), never a bare json error.
+//   * to_json(x) emits every field, defaults included, in list order —
+//     dump(to_json(x)) is deterministic, so equal configs always serialize
+//     to byte-identical text (the bit-identity tests gate on it).
+//   * from_json starts from the struct's current values, overwrites the
+//     fields present, rejects unknown keys, then range-checks the whole
+//     struct once. All failures throw `config_error` naming the dotted key
+//     path ("ga.elite_fraction"), never a bare json error.
 //   * chrono fields serialize as integral milliseconds under a `_ms`
-//     suffixed key; enums serialize as strings ("reject", "latency", ...).
+//     suffixed key; enums serialize as strings ("reject", "latency", ...);
+//     every integer is a non-negative JSON number no larger than 2^53.
 
 #include <stdexcept>
 #include <string>
@@ -29,9 +35,9 @@
 namespace mapcq::serving {
 
 /// Typed configuration failure: a dotted key path ("scheduler.policy")
-/// plus what was wrong with it. Thrown by from_json / validate /
-/// apply_override; parse_config wraps json::parse_error into one with the
-/// pseudo-path "<json>".
+/// plus what was wrong with it. Thrown by from_json / apply_override;
+/// parse_config wraps json::parse_error into one with the pseudo-path
+/// "<json>".
 class config_error : public std::runtime_error {
  public:
   config_error(std::string path, const std::string& message);
@@ -65,65 +71,18 @@ struct service_config {
   soc::contention_context scenario;
 };
 
-/// @name Per-struct JSON bindings
-/// to_json emits all fields in declaration order; from_json overwrites
-/// `out` (starting from its current values) from the object in `v`,
-/// rejecting unknown keys and out-of-range values with `config_error`s
-/// rooted at `path`.
-/// @{
-[[nodiscard]] util::json::value to_json(const core::engine_options& opt);
-[[nodiscard]] util::json::value to_json(const core::ga_options& opt);
-[[nodiscard]] util::json::value to_json(const scheduler_options& opt);
-[[nodiscard]] util::json::value to_json(const surrogate::refresh_options& opt);
-[[nodiscard]] util::json::value to_json(const snapshot_options& opt);
-[[nodiscard]] util::json::value to_json(const group_options& opt);
-[[nodiscard]] util::json::value to_json(const service_options& opt);
-[[nodiscard]] util::json::value to_json(const soc::thermal_model& model);
-[[nodiscard]] util::json::value to_json(const soc::resident_load& load);
-[[nodiscard]] util::json::value to_json(const soc::contention_context& ctx);
-[[nodiscard]] util::json::value to_json(const service_config& cfg);
-
-void from_json(const util::json::value& v, core::engine_options& out,
-               const std::string& path = "engine");
-void from_json(const util::json::value& v, core::ga_options& out, const std::string& path = "ga");
-void from_json(const util::json::value& v, scheduler_options& out,
-               const std::string& path = "scheduler");
-void from_json(const util::json::value& v, surrogate::refresh_options& out,
-               const std::string& path = "refresh");
-void from_json(const util::json::value& v, snapshot_options& out,
-               const std::string& path = "snapshot");
-void from_json(const util::json::value& v, group_options& out,
-               const std::string& path = "group");
-void from_json(const util::json::value& v, service_options& out,
-               const std::string& path = "service");
-void from_json(const util::json::value& v, soc::thermal_model& out,
-               const std::string& path = "thermal");
-void from_json(const util::json::value& v, soc::resident_load& out,
-               const std::string& path = "resident");
-void from_json(const util::json::value& v, soc::contention_context& out,
-               const std::string& path = "scenario");
-void from_json(const util::json::value& v, service_config& out, const std::string& path = "");
-/// @}
-
-/// @name Range validation
-/// Checks the semantic constraints the engines enforce at construction
-/// (population >= 4, elite_fraction in (0,1), holdout_fraction in (0,1),
-/// weights >= 1, ...), throwing `config_error` with the offending key path
-/// rooted at `path`. from_json calls these; call them directly after
-/// mutating a struct in code.
-/// @{
-void validate(const core::engine_options& opt, const std::string& path = "engine");
-void validate(const core::ga_options& opt, const std::string& path = "ga");
-void validate(const scheduler_options& opt, const std::string& path = "scheduler");
-void validate(const surrogate::refresh_options& opt, const std::string& path = "refresh");
-void validate(const snapshot_options& opt, const std::string& path = "snapshot");
-void validate(const group_options& opt, const std::string& path = "group");
-void validate(const service_options& opt, const std::string& path = "service");
-void validate(const soc::thermal_model& model, const std::string& path = "thermal");
-void validate(const soc::resident_load& load, const std::string& path = "resident");
-void validate(const soc::contention_context& ctx, const std::string& path = "scenario");
-void validate(const service_config& cfg, const std::string& path = "");
-/// @}
+/// JSON bindings, instantiated for `service_config` and for each block it
+/// is made of: `core::engine_options`, `core::ga_options`,
+/// `scheduler_options`, `surrogate::refresh_options`, `snapshot_options`,
+/// `group_options`, `service_options`, `soc::thermal_model`,
+/// `soc::resident_load` and `soc::contention_context`. to_json emits all
+/// fields; from_json overwrites `out` (starting from its current values)
+/// from the object in `v`, rejecting unknown keys and out-of-range values
+/// with `config_error`s rooted at `path`.
+template <class T>
+[[nodiscard]] util::json::value to_json(const T& opt);
+template <class T>
+void from_json(const util::json::value& v, T& out, const std::string& path = "");
 
 /// Parses a service_config from JSON text. Starts from defaults (an empty
 /// object "{}" is the default config), throws config_error on malformed

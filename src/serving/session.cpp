@@ -19,20 +19,6 @@ core::evaluator_options strip_predictor(core::evaluator_options opt) {
   return opt;
 }
 
-bool same_bench(const surrogate::benchmark_options& a, const surrogate::benchmark_options& b) {
-  return a.samples == b.samples && a.noise_stddev == b.noise_stddev && a.seed == b.seed &&
-         a.model.bandwidth_contention == b.model.bandwidth_contention &&
-         a.model.enable_contention == b.model.enable_contention;
-}
-
-bool same_gbt(const surrogate::gbt_params& a, const surrogate::gbt_params& b) {
-  return a.n_trees == b.n_trees && a.learning_rate == b.learning_rate &&
-         a.subsample == b.subsample && a.seed == b.seed && a.log_target == b.log_target &&
-         a.tree.max_depth == b.tree.max_depth &&
-         a.tree.min_samples_leaf == b.tree.min_samples_leaf && a.tree.lambda == b.tree.lambda &&
-         a.tree.min_gain == b.tree.min_gain;
-}
-
 }  // namespace
 
 mapping_session::mapping_session(std::string key, std::shared_ptr<const nn::network> net,
@@ -144,7 +130,7 @@ core::evaluation_engine& mapping_session::surrogate_engine(
       }
       if (trained_now) *trained_now = true;
     } else {
-      if (!same_bench(bench_, bench) || !same_gbt(gbt_, gbt))
+      if (bench_ != bench || gbt_ != gbt)
         throw std::invalid_argument(
             "mapping_session: surrogate knobs differ from the session's trained predictor "
             "(sessions are immutable; change the evaluator options or ranking seed to fork one)");

@@ -6,11 +6,11 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
-#include <type_traits>
 #include <utility>
 
 #include "core/serialization.h"
 #include "util/hashing.h"
+#include "util/text_rows.h"
 
 namespace mapcq::serving {
 
@@ -18,65 +18,12 @@ namespace {
 
 constexpr const char* snapshot_tag = "mapcq-snapshot-v1";
 
-std::string next_line(std::istream& is, const char* what) {
-  std::string line;
-  if (!std::getline(is, line)) throw snapshot_error(std::string("missing ") + what);
-  return line;
-}
-
-template <class... Ts>
-void write_row(std::ostream& os, const char* key, const Ts&... values) {
-  os << key;
-  ((os << ' ' << values), ...);
-  os << '\n';
-}
-
-template <class T>
-void parse_token(const std::string& token, T& out) {
-  if constexpr (std::is_floating_point_v<T>)
-    out = static_cast<T>(std::stod(token));
-  else if constexpr (std::is_signed_v<T>)
-    out = static_cast<T>(std::stoll(token));
-  else
-    out = static_cast<T>(std::stoull(token));
-}
-
-/// Reads the next line as a mandatory `key v1 v2 ...` row (token-wise
-/// std::sto* parsing, so "inf"/"nan" scalars round-trip).
-template <class... Ts>
-void read_row(std::istream& is, const char* key, Ts&... values) {
-  std::istringstream ls{next_line(is, key)};
-  std::string k;
-  if (!(ls >> k) || k != key) throw snapshot_error(std::string("expected ") + key);
-  const auto next = [&](auto& out) {
-    std::string token;
-    if (!(ls >> token)) throw snapshot_error(std::string("short row for ") + key);
-    try {
-      parse_token(token, out);
-    } catch (const std::exception&) {
-      throw snapshot_error(std::string("bad value for ") + key);
-    }
-  };
-  (next(values), ...);
-}
-
-/// Reads a `key value...` line and returns everything after "key " verbatim
-/// (session keys contain spaces).
-std::string read_tail(std::istream& is, const char* key) {
-  const std::string line = next_line(is, key);
-  const std::string prefix = std::string(key) + ' ';
-  if (line.rfind(prefix, 0) != 0) {
-    if (line == key) return "";
-    throw snapshot_error(std::string("expected ") + key);
-  }
-  return line.substr(prefix.size());
-}
-
-std::size_t read_sized(std::istream& is, const char* key) {
-  std::size_t v = 0;
-  read_row(is, key, v);
-  return v;
-}
+using util::next_line;
+using util::parse_token;
+using util::read_row;
+using util::read_sized;
+using util::read_tail;
+using util::write_row;
 
 bool read_flag(std::istream& is, const char* key) {
   std::size_t v = 0;
@@ -278,9 +225,10 @@ session_snapshot snapshot_from_text(const std::string& text) {
   } catch (const snapshot_error&) {
     throw;
   } catch (const std::exception& e) {
-    // Embedded-block parsers (mapcq-eval-v1, the tree restore constructors)
-    // throw runtime_error/invalid_argument; a snapshot consumer sees one
-    // typed failure mode regardless of which section was corrupt.
+    // The shared row readers (util/text_rows.h) and the embedded-block
+    // parsers (mapcq-eval-v1, the tree restore constructors) throw
+    // runtime_error/invalid_argument; a snapshot consumer sees one typed
+    // failure mode regardless of which section was corrupt.
     throw snapshot_error(e.what());
   }
 }

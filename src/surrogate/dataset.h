@@ -47,6 +47,8 @@ struct benchmark_options {
   double noise_stddev = 0.03;        ///< multiplicative measurement noise
   std::uint64_t seed = 2023;         ///< RNG seed
   perf::model_options model;         ///< underlying analytic model options
+
+  [[nodiscard]] bool operator==(const benchmark_options&) const = default;
 };
 
 /// Samples random (layer slice, CU, DVFS, concurrency) combinations from the

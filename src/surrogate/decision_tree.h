@@ -33,6 +33,8 @@ struct tree_params {
   std::size_t min_samples_leaf = 4;
   double lambda = 1.0;     ///< L2 regularization on leaf weights
   double min_gain = 1e-9;  ///< minimum split gain
+
+  [[nodiscard]] bool operator==(const tree_params&) const = default;
 };
 
 /// Training rows stored column-major, with each feature's row ids sorted by

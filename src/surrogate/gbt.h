@@ -22,6 +22,8 @@ struct gbt_params {
   std::uint64_t seed = 7;
   /// Targets are strictly positive and span decades; fit in log space.
   bool log_target = true;
+
+  [[nodiscard]] bool operator==(const gbt_params&) const = default;
 };
 
 /// A fitted ensemble.

@@ -1,16 +1,24 @@
 // Config-API tests: the util::json reader/writer, JSON round-trips for
 // every options struct, typed validation errors that name the offending
-// key path, dotted-key overrides, and the deployment guarantee behind the
+// key path, dotted-key overrides, the deployment guarantee behind the
 // checked-in examples/configs/default.json — a service booted from that
 // file produces a mapping_report bit-identical to one booted from
 // default-constructed option structs (including the effective_config
-// stamp).
+// stamp) — and walks over every key to_json emits: each one is documented
+// in docs/SERVING.md and keys requests as ARCHITECTURE invariants 3 and 8
+// require.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "nn/models.h"
 #include "serving/mapping_service.h"
@@ -106,6 +114,10 @@ TEST(config_round_trip, every_options_struct_survives_json) {
   sched.coalesce = false;
   sched.weights = {{"tenant-a", 3}, {"tenant-b", 1}};
   expect_round_trip(sched);
+  // The weights map dumps sorted by session key, whatever its bucket order.
+  EXPECT_EQ(json::dump(serving::to_json(sched)),
+            R"({"max_queued":64,"max_inflight_per_session":0,"policy":"reject",)"
+            R"("coalesce":false,"default_weight":1,"weights":{"tenant-a":3,"tenant-b":1}})");
 
   surrogate::refresh_options refresh;
   refresh.enabled = true;
@@ -139,6 +151,11 @@ TEST(config_round_trip, colocation_scenario_survives_json) {
   scen.thermal = soc::thermal_model{};
   scen.dram_energy_beta = 0.5;
   expect_round_trip(scen);
+  EXPECT_EQ(json::dump(serving::to_json(scen)),
+            R"({"residents":[{"name":"neighbor-dnn","interconnect_gbps":2.5,"dram_gbps":3.25,)"
+            R"("power_w":1.5,"shared_memory_bytes":4096,"reserved_units":[1,2]}],)"
+            R"("dvfs_cap":[3,0,2],"thermal":{"ambient_c":35,"r_thermal_c_per_w":1.8,"tau_s":18,)"
+            R"("throttle_c":87},"interconnect_alpha":1,"dram_alpha":0.6,"dram_energy_beta":0.5})");
 
   // Through the whole service_config, and the parsed form is semantically
   // equal (same scenario key), not just textually stable.
@@ -289,13 +306,28 @@ TEST(config_override, bad_overrides_throw_typed_errors) {
 
 // --- the checked-in default config ------------------------------------------
 
+/// A checked-in file of the source tree, read whole.
+std::string source_file(const std::string& relative) {
+  const char* src = std::getenv("MAPCQ_SOURCE_DIR");
+  if (src == nullptr) {
+    ADD_FAILURE() << "MAPCQ_SOURCE_DIR not set (run under ctest)";
+    return "";
+  }
+  std::ifstream in{std::string(src) + "/" + relative};
+  EXPECT_TRUE(in) << "cannot open " << relative;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST(default_config_file, boots_a_service_bit_identical_to_defaults) {
   const char* src = std::getenv("MAPCQ_SOURCE_DIR");
   ASSERT_NE(src, nullptr) << "MAPCQ_SOURCE_DIR not set (run under ctest)";
   const service_config from_file =
       serving::load_config(std::string(src) + "/examples/configs/default.json");
 
-  // The checked-in file IS the library defaults, byte for byte once dumped.
+  // The checked-in file IS the library defaults, byte for byte.
+  EXPECT_EQ(source_file("examples/configs/default.json"), serving::dump_config(service_config{}));
   EXPECT_EQ(serving::dump_config(from_file), serving::dump_config(service_config{}));
 
   const nn::network net = nn::build_simple_cnn();
@@ -347,6 +379,192 @@ TEST(default_config_file, effective_config_stamp_parses_back) {
   EXPECT_EQ(stamped.ga.generations, 2u);
   // The stamp records the *effective* engine sizing (0 = auto resolved).
   EXPECT_GE(stamped.service.engine.threads, 1u);
+}
+
+// --- every key to_json emits ---------------------------------------------------
+
+/// Calls fn(path, leaf) on every leaf of a config document: scalars, empty
+/// arrays and `scheduler.weights` (whose keys are session keys, not config
+/// keys). Array elements are named `path[i]`.
+void for_each_leaf(json::value& v, const std::string& path,
+                   const std::function<void(const std::string&, json::value&)>& fn) {
+  if (v.is_object() && path != "scheduler.weights") {
+    for (auto& [key, member] : v.as_object())
+      for_each_leaf(member, path.empty() ? key : path + "." + key, fn);
+  } else if (v.is_array() && !v.as_array().empty()) {
+    for (std::size_t i = 0; i < v.as_array().size(); ++i)
+      for_each_leaf(v.as_array()[i], path + "[" + std::to_string(i) + "]", fn);
+  } else {
+    fn(path, v);
+  }
+}
+
+/// Every leaf of a config document, by path.
+std::vector<std::pair<std::string, json::value>> leaves(json::value doc) {
+  std::vector<std::pair<std::string, json::value>> out;
+  for_each_leaf(doc, "", [&](const std::string& path, json::value& leaf) {
+    out.emplace_back(path, leaf);
+  });
+  return out;
+}
+
+/// `base` with the leaf at `target` replaced, read back through from_json.
+template <typename Opt>
+Opt with_leaf(const Opt& base, const std::string& target, const json::value& replacement) {
+  json::value doc = serving::to_json(base);
+  for_each_leaf(doc, "", [&](const std::string& path, json::value& leaf) {
+    if (path == target) leaf = replacement;
+  });
+  Opt out;
+  serving::from_json(doc, out);
+  return out;
+}
+
+/// `base` with `leaf`, found at `target`, moved to another valid value: a
+/// bool flipped, an integer plus 1, a fraction halved, an enum switched to
+/// another of the names its reader lists, any other string extended.
+template <typename Opt>
+Opt moved(const Opt& base, const std::string& target, const json::value& leaf) {
+  if (leaf.is_bool()) return with_leaf(base, target, json::value{!leaf.as_bool()});
+  if (leaf.is_number()) {
+    const double d = leaf.as_number();
+    return with_leaf(base, target, json::value{d == std::floor(d) ? d + 1 : d / 2});
+  }
+  if (!leaf.is_string()) {
+    ADD_FAILURE() << target << ": no move for this kind of leaf";
+    return base;
+  }
+  try {
+    (void)with_leaf(base, target, json::value{"?"});
+  } catch (const config_error& e) {
+    // An enum: unknown value "?" (expected "a" | "b" ...).
+    const std::string what = e.what();
+    for (std::size_t open = what.find('"', what.find("(expected")); open != std::string::npos;) {
+      const std::size_t close = what.find('"', open + 1);
+      const std::string name = what.substr(open + 1, close - open - 1);
+      if (name != leaf.as_string()) return with_leaf(base, target, json::value{name});
+      open = what.find('"', close + 1);
+    }
+  }
+  return with_leaf(base, target, json::value{leaf.as_string() + "x"});
+}
+
+TEST(config_keys, every_key_is_documented) {
+  service_config cfg;
+  cfg.ga.portfolio.islands.emplace_back();
+  soc::resident_load resident;
+  resident.name = "neighbor";
+  cfg.scenario.residents.push_back(resident);
+  cfg.scenario.thermal = soc::thermal_model{};
+  cfg.service.scheduler.weights = {{"lane", 2}};
+
+  // The backticked tokens of every table row of the knob reference.
+  std::vector<std::string> tokens;
+  std::istringstream doc{source_file("docs/SERVING.md")};
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind('|', 0) != 0) continue;
+    for (std::size_t open = line.find('`'); open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      tokens.push_back(line.substr(open + 1, close - open - 1));
+      open = line.find('`', close + 1);
+    }
+  }
+  ASSERT_FALSE(tokens.empty());
+
+  for (const auto& entry : leaves(serving::to_json(cfg))) {
+    const std::string& path = entry.first;
+    // A row names the key alone or under a dotted prefix; indices drop.
+    std::string key = path.substr(path.find_last_of('.') + 1);
+    key = key.substr(0, key.find('['));
+    const bool documented = std::any_of(tokens.begin(), tokens.end(), [&](const std::string& t) {
+      return t == key || t.ends_with("." + key);
+    });
+    EXPECT_TRUE(documented) << path << " has no row in docs/SERVING.md";
+  }
+}
+
+/// A service with the network and platform requests name, for its lanes.
+struct keyed_service {
+  keyed_service() {
+    service.register_network(net);
+    service.register_platform(soc::agx_xavier());
+    base.network = net.name;
+  }
+  nn::network net = nn::build_simple_cnn();
+  serving::mapping_service service{serving::service_options{}};
+  serving::mapping_request base;
+};
+
+// Invariant 3: every GA key changes the coalescing fingerprint, except
+// `threads`, which is documented not to change results; none keys a session.
+TEST(config_keys, every_ga_key_moves_the_fingerprint_not_the_lane) {
+  keyed_service ks;
+  ks.base.ga.portfolio.islands.emplace_back();
+  const std::string fingerprint = serving::request_fingerprint(ks.base);
+  const std::string lane = ks.service.fairness_lane(ks.base);
+  for (const auto& [path, leaf] : leaves(serving::to_json(ks.base.ga))) {
+    SCOPED_TRACE(path);
+    serving::mapping_request req = ks.base;
+    req.ga = moved(ks.base.ga, path, leaf);
+    ASSERT_NE(json::dump(serving::to_json(req.ga)), json::dump(serving::to_json(ks.base.ga)));
+    if (path == "threads")
+      EXPECT_EQ(serving::request_fingerprint(req), fingerprint);
+    else
+      EXPECT_NE(serving::request_fingerprint(req), fingerprint);
+    EXPECT_EQ(ks.service.fairness_lane(req), lane);
+  }
+}
+
+// Invariant 3: every key of a non-idle scenario changes what the evaluator
+// computes, so it moves both the fingerprint and the session lane.
+TEST(config_keys, every_scenario_key_moves_fingerprint_and_lane) {
+  keyed_service ks;
+  soc::resident_load resident;
+  resident.name = "neighbor";
+  resident.interconnect_gbps = 2.5;
+  resident.dram_gbps = 3.25;
+  resident.power_w = 1.5;
+  resident.shared_memory_bytes = 4096;
+  resident.reserved_units = {1};
+  ks.base.eval.contention.residents.push_back(resident);
+  ks.base.eval.contention.dvfs_cap = {3};
+  ks.base.eval.contention.thermal = soc::thermal_model{};
+  const std::string fingerprint = serving::request_fingerprint(ks.base);
+  const std::string lane = ks.service.fairness_lane(ks.base);
+
+  const auto all = leaves(serving::to_json(ks.base.eval.contention));
+  // The walk reaches into the resident, down to its reserved unit.
+  EXPECT_TRUE(std::any_of(all.begin(), all.end(), [](const auto& l) {
+    return l.first == "residents[0].reserved_units[0]";
+  }));
+  for (const auto& [path, leaf] : all) {
+    SCOPED_TRACE(path);
+    serving::mapping_request req = ks.base;
+    req.eval.contention = moved(ks.base.eval.contention, path, leaf);
+    EXPECT_NE(serving::request_fingerprint(req), fingerprint);
+    EXPECT_NE(ks.service.fairness_lane(req), lane);
+  }
+}
+
+// Invariant 8: on an idle scenario the derate coefficients change nothing,
+// so they move neither the fingerprint nor the lane.
+TEST(config_keys, idle_scenario_coefficients_move_nothing) {
+  keyed_service ks;
+  const std::string fingerprint = serving::request_fingerprint(ks.base);
+  const std::string lane = ks.service.fairness_lane(ks.base);
+  std::size_t coefficients = 0;
+  for (const auto& [path, leaf] : leaves(serving::to_json(ks.base.eval.contention))) {
+    if (!leaf.is_number()) continue;  // residents, dvfs_cap, thermal: setting one ends idleness
+    SCOPED_TRACE(path);
+    ++coefficients;
+    serving::mapping_request req = ks.base;
+    req.eval.contention = moved(ks.base.eval.contention, path, leaf);
+    ASSERT_TRUE(req.eval.contention.idle());
+    EXPECT_EQ(serving::request_fingerprint(req), fingerprint);
+    EXPECT_EQ(ks.service.fairness_lane(req), lane);
+  }
+  EXPECT_GE(coefficients, 3u);
 }
 
 }  // namespace

@@ -113,9 +113,16 @@ TEST_F(service_fixture, surrogate_trains_once_per_session) {
   EXPECT_EQ(second.search_cache.misses, 0u);  // warm surrogate engine
   expect_same_front(first, second);
 
-  // A session's predictor is immutable: different training knobs are an error.
+  // A session's predictor is immutable: different training knobs are an error,
+  // nested ones included.
   mapping_request clashing = req;
   clashing.gbt.n_trees = 31;
+  EXPECT_THROW((void)service.map(clashing), std::invalid_argument);
+  clashing = req;
+  clashing.gbt.tree.min_gain *= 2;
+  EXPECT_THROW((void)service.map(clashing), std::invalid_argument);
+  clashing = req;
+  clashing.bench.model.bandwidth_contention *= 2;
   EXPECT_THROW((void)service.map(clashing), std::invalid_argument);
 }
 
