@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/pareto.h"
@@ -88,6 +89,17 @@ ga_result evolve(const search_space& space, evaluation_engine& engine, const ga_
   ga_result result;
   result.islands = K;
   result.history.resize(G);
+  // Archive index of every configuration archived so far, by content hash;
+  // the archive itself holds the only copy of each configuration.
+  std::unordered_multimap<std::size_t, std::size_t> archived;
+  const auto archive_once = [&](const evaluation& e) {
+    const std::size_t h = e.config.hash();
+    const auto [lo, hi] = archived.equal_range(h);
+    for (auto it = lo; it != hi; ++it)
+      if (result.archive[it->second].config == e.config) return;
+    archived.emplace(h, result.archive.size());
+    result.archive.push_back(e);
+  };
 
   // --- coordinator helpers -----------------------------------------------
   // Decoding stays serial: it is O(groups x stages) arithmetic per genome,
@@ -183,7 +195,7 @@ ga_result evolve(const search_space& space, evaluation_engine& engine, const ga_
       if (!analytic[c] || !evals[c].feasible) continue;
       ++feasible;
       sum += evals[c].objective;
-      result.archive.push_back(evals[c]);
+      archive_once(evals[c]);
     }
     if (feasible > 0) {
       // The generation's "best" is the top-ranked ground-truth entry (for an

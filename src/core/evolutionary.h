@@ -2,9 +2,9 @@
 // Evolutionary search engine (paper §V-C, Fig. 5): per generation, evaluate
 // the population in parallel, drop constraint violators, rank the rest by
 // the eq. 16 objective, keep an elite set, and refill via crossover +
-// mutation of tournament-selected parents. Every feasible evaluation is
-// archived; the Pareto set over (avg latency, avg energy, -accuracy) is
-// extracted at the end.
+// mutation of tournament-selected parents. Every feasible configuration is
+// archived once; the Pareto set over (avg latency, avg energy, -accuracy)
+// is extracted at the end.
 //
 // The population can be split into K *islands* (island_options) that evolve
 // independently against one shared `evaluation_engine` through its async
@@ -178,9 +178,15 @@ struct generation_stats {
 
 /// Search output.
 struct ga_result {
-  std::vector<evaluation> archive;       ///< all feasible evaluations
-  std::vector<std::size_t> pareto;       ///< archive indices on the Pareto front
-  std::size_t best_index = 0;            ///< archive index of the min-objective entry
+  /// Each feasible configuration the run evaluated, once, in first-seen
+  /// (generation, island, candidate) order. An elite that survives several
+  /// generations is archived once. The entry is the first evaluation seen:
+  /// if the engine scores a configuration differently later in the run (a
+  /// surrogate refresh promoted mid-run), the later score is counted in
+  /// `history` but not archived.
+  std::vector<evaluation> archive;
+  std::vector<std::size_t> pareto;  ///< archive indices on the Pareto front, ascending
+  std::size_t best_index = 0;       ///< archive index of the min-objective entry
   std::vector<generation_stats> history;
   std::size_t islands = 1;  ///< island count the search actually ran with
   /// Candidates *considered* (population x generations); the evaluator only

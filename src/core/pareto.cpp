@@ -1,7 +1,11 @@
 #include "core/pareto.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <map>
 #include <stdexcept>
+#include <tuple>
 
 namespace mapcq::core {
 
@@ -51,15 +55,51 @@ bool dominates(std::span<const double> a, std::span<const double> b) {
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<std::vector<double>>& points) {
-  std::vector<std::size_t> front;
+  if (points.empty()) return {};
+  const std::size_t width = points.front().size();
+  if (width == 0 || width > 3)
+    throw std::invalid_argument("pareto_front: rows must have 1 to 3 objectives");
+
+  // Kung-Luccio-Preparata 3-D maxima: sweep rows in (x, y, z, index) order.
+  // Every row that could dominate p precedes p's group of identical rows,
+  // so p is dominated exactly when some earlier row has y <= p.y and
+  // z <= p.z. `stair` holds the 2-D minima of the (y, z) seen so far, z
+  // strictly decreasing in y: its last entry with y <= p.y has the least z.
+  struct row {
+    double x, y, z;
+    std::size_t index;
+  };
+  std::vector<row> rows;
+  rows.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      if (i == j) continue;
-      if (dominates(points[j], points[i])) dominated = true;
-    }
-    if (!dominated) front.push_back(i);
+    const std::vector<double>& p = points[i];
+    if (p.size() != width) throw std::invalid_argument("pareto_front: ragged rows");
+    if (std::any_of(p.begin(), p.end(), [](double v) { return std::isnan(v); }))
+      throw std::invalid_argument("pareto_front: NaN objective");
+    rows.push_back({p[0], width > 1 ? p[1] : 0.0, width > 2 ? p[2] : 0.0, i});
   }
+  std::sort(rows.begin(), rows.end(), [](const row& a, const row& b) {
+    return std::tie(a.x, a.y, a.z, a.index) < std::tie(b.x, b.y, b.z, b.index);
+  });
+
+  std::vector<std::size_t> front;
+  std::map<double, double> stair;
+  for (std::size_t g = 0; g < rows.size();) {
+    const row& p = rows[g];
+    std::size_t end = g + 1;
+    while (end < rows.size() && rows[end].x == p.x && rows[end].y == p.y && rows[end].z == p.z)
+      ++end;
+    auto above = stair.upper_bound(p.y);
+    if (above == stair.begin() || std::prev(above)->second > p.z) {
+      for (std::size_t k = g; k < end; ++k) front.push_back(rows[k].index);
+      auto last = above;
+      while (last != stair.end() && last->second >= p.z) ++last;
+      stair.erase(stair.lower_bound(p.y), last);
+      stair.emplace(p.y, p.z);
+    }
+    g = end;
+  }
+  std::sort(front.begin(), front.end());
   return front;
 }
 

@@ -18,10 +18,16 @@ namespace mapcq::core {
 /// width; the spans are borrowed for the duration of the call only.
 [[nodiscard]] bool dominates(std::span<const double> a, std::span<const double> b);
 
-/// Indices of the non-dominated rows of `points` (each row = one candidate's
-/// objective vector; all rows must have equal, nonzero width). O(n^2)
-/// pairwise dominance — intended for the archive-sized inputs the GA
-/// produces, not for millions of points.
+/// Indices of the non-dominated rows of `points`, in ascending order. Each
+/// row is one candidate's objective vector of 1 to 3 components; every row
+/// must have the same width. Identical rows all stay on the front when no
+/// other row dominates them. O(n log n): a lexicographic sort and a
+/// staircase sweep (the 3-D maxima algorithm of Kung, Luccio & Preparata,
+/// JACM 1975); rows of width 1 or 2 are swept as if padded with zeros.
+///
+/// Throws std::invalid_argument on width 0, width above 3, ragged rows or a
+/// NaN component (NaN has no place in the sort order). An empty `points`
+/// has an empty front.
 [[nodiscard]] std::vector<std::size_t> pareto_front(
     const std::vector<std::vector<double>>& points);
 

@@ -72,35 +72,31 @@ const genome& tournament(const std::vector<genome>& pool, util::rng& gen) {
 /// Non-dominated front index per candidate over (latency, energy, -acc);
 /// infeasible candidates get a sentinel beyond every front.
 std::vector<std::size_t> front_indices(const std::vector<evaluation>& evals) {
-  constexpr std::size_t unranked = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> front(evals.size(), unranked);
-  std::vector<std::vector<double>> pts(evals.size());
+  std::vector<std::size_t> front(evals.size(), evals.size() + 1);  // infeasible sentinel
+  std::vector<std::size_t> left;  // feasible candidates without a front yet
   for (std::size_t i = 0; i < evals.size(); ++i)
-    pts[i] = {evals[i].avg_latency_ms, evals[i].avg_energy_mj, -evals[i].accuracy_pct};
+    if (evals[i].feasible) left.push_back(i);
 
-  std::size_t assigned = 0;
-  std::size_t total_feasible = 0;
-  for (const auto& e : evals)
-    if (e.feasible) ++total_feasible;
-
-  // Peel fronts: at each level, collect every unassigned candidate not
-  // dominated by another unassigned candidate, then assign the whole set.
-  for (std::size_t level = 0; assigned < total_feasible; ++level) {
-    std::vector<std::size_t> peel;
-    for (std::size_t i = 0; i < evals.size(); ++i) {
-      if (!evals[i].feasible || front[i] != unranked) continue;
-      bool dominated = false;
-      for (std::size_t j = 0; j < evals.size() && !dominated; ++j) {
-        if (i == j || !evals[j].feasible || front[j] != unranked) continue;
-        if (dominates(pts[j], pts[i])) dominated = true;
+  // Peel fronts: each level is the Pareto front of the candidates still
+  // unassigned.
+  std::vector<std::vector<double>> pts;
+  std::vector<std::size_t> rest;
+  for (std::size_t level = 0; !left.empty(); ++level) {
+    pts.clear();
+    for (const std::size_t i : left)
+      pts.push_back({evals[i].avg_latency_ms, evals[i].avg_energy_mj, -evals[i].accuracy_pct});
+    const std::vector<std::size_t> peel = pareto_front(pts);  // ascending
+    rest.clear();
+    for (std::size_t k = 0, p = 0; k < left.size(); ++k) {
+      if (p < peel.size() && peel[p] == k) {
+        front[left[k]] = level;
+        ++p;
+      } else {
+        rest.push_back(left[k]);
       }
-      if (!dominated) peel.push_back(i);
     }
-    for (const std::size_t i : peel) front[i] = level;
-    assigned += peel.size();
+    left.swap(rest);
   }
-  for (std::size_t i = 0; i < evals.size(); ++i)
-    if (front[i] == unranked) front[i] = evals.size() + 1;  // infeasible sentinel
   return front;
 }
 

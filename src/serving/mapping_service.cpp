@@ -58,7 +58,7 @@ class surrogate_prefilter final : public core::candidate_prefilter {
 mapping_service::mapping_service(service_options opt) : opt_(opt) {
   if (opt_.engine.threads == 0)
     opt_.engine.threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (opt_.workers == 0) opt_.workers = 1;
+  if (opt_.workers == 0) throw std::invalid_argument("mapping_service: workers must be at least 1");
 }
 
 void mapping_service::register_network(const nn::network& net) {

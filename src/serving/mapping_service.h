@@ -68,7 +68,7 @@ struct service_options {
   }
 
   core::engine_options engine;  ///< per-session engine tuning
-  std::size_t workers = 2;      ///< scheduler dispatch threads serving submit()
+  std::size_t workers = 2;      ///< scheduler dispatch threads serving submit() (>= 1)
 
   /// Online surrogate-refresh knobs, applied to every session (see
   /// surrogate::refresh_options and docs/SERVING.md). Default-off: with
@@ -112,6 +112,8 @@ struct service_options {
 /// candidate twice on one session.
 class mapping_service {
  public:
+  /// Throws std::invalid_argument when `opt.workers` is 0 (the config
+  /// reader rejects the same value at `workers`).
   explicit mapping_service(service_options opt = {});
 
   mapping_service(const mapping_service&) = delete;

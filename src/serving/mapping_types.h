@@ -132,7 +132,8 @@ struct mapping_report {
   /// Raw search output (archive, history, cache counters, island count).
   core::ga_result search;
   /// The search's Pareto picks re-evaluated on the analytic model
-  /// ("hardware"), index-aligned with `search.pareto`.
+  /// ("hardware"), index-aligned with `search.pareto`. Each configuration
+  /// appears once, because the search archives each configuration once.
   std::vector<core::evaluation> front;
   std::size_t ours_latency_index = 0;
   std::size_t ours_energy_index = 0;

@@ -1,5 +1,6 @@
 #include "serving/request_scheduler.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace mapcq::serving {
@@ -25,7 +26,7 @@ request_scheduler::request_scheduler(scheduler_options opt, std::size_t workers,
     : opt_(std::move(opt)), run_(std::move(run)) {
   if (!run_) throw std::invalid_argument("request_scheduler: null executor");
   if (opt_.default_weight == 0) opt_.default_weight = 1;
-  if (workers == 0) workers = 1;
+  if (workers == 0) throw std::invalid_argument("request_scheduler: workers must be at least 1");
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) workers_.emplace_back([this] { worker_loop(); });
 }

@@ -106,9 +106,10 @@ class request_scheduler {
  public:
   using executor = std::function<mapping_report(const mapping_request&)>;
 
-  /// Spawns `workers` dispatch threads (at least one) that pull admitted
-  /// requests in priority + weighted-round-robin order and run `run`, one
-  /// request per pick.
+  /// Spawns `workers` dispatch threads that pull admitted requests in
+  /// priority + weighted-round-robin order and run `run`, one request per
+  /// pick. Throws std::invalid_argument when `workers` is 0 or `run` is
+  /// empty.
   request_scheduler(scheduler_options opt, std::size_t workers, executor run);
 
   /// Fails queued requests with admission_error(shutdown), wakes blocked

@@ -29,6 +29,7 @@
 #include "soc/platform.h"
 #include "soc/thermal.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -238,7 +239,7 @@ TEST_F(colocation_evaluator, degradation_is_monotone_in_resident_count) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
     core::evaluator_options opt;
     for (std::size_t i = 0; i < n; ++i)
-      opt.contention.residents.push_back(make_resident("r" + std::to_string(i), 3.0, 4.0));
+      opt.contention.residents.push_back(make_resident(util::format("r%zu", i), 3.0, 4.0));
     evals.emplace_back(net, plat, opt);
   }
   std::size_t strictly_worse = 0;

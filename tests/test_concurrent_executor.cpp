@@ -7,6 +7,7 @@
 #include "perf/concurrent_executor.h"
 #include "perf/trace.h"
 #include "soc/platform.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -22,7 +23,7 @@ soc::platform toy_platform(std::size_t units = 3) {
   p.name = "toy";
   for (std::size_t i = 0; i < units; ++i) {
     soc::compute_unit u;
-    u.name = "U" + std::to_string(i);
+    u.name = util::format("U%zu", i);
     u.kind = soc::cu_kind::gpu;
     u.peak_gflops = 1000.0;  // * efficiency 1.0 -> 1e9 flop/ms... see below
     u.mem_bandwidth_gbps = 1e9;  // memory never binds

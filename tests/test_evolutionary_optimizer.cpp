@@ -60,6 +60,39 @@ TEST_F(ga_fixture, pareto_members_are_nondominated) {
   }
 }
 
+// The archive is a set: an elite surviving many generations is archived
+// once, so no two entries share a configuration, and the front lists each
+// archive index once, ascending.
+void expect_distinct_archive_and_ascending_front(const ga_result& res) {
+  for (std::size_t i = 0; i < res.archive.size(); ++i)
+    for (std::size_t j = i + 1; j < res.archive.size(); ++j)
+      EXPECT_FALSE(res.archive[i].config == res.archive[j].config)
+          << "archive[" << i << "] repeats at " << j;
+  ASSERT_FALSE(res.pareto.empty());
+  for (std::size_t k = 1; k < res.pareto.size(); ++k) EXPECT_LT(res.pareto[k - 1], res.pareto[k]);
+  EXPECT_LT(res.pareto.back(), res.archive.size());
+}
+
+TEST_F(ga_fixture, archive_holds_each_configuration_once) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ga_result res = evolve(space, eval, tiny_ga(seed));
+    expect_distinct_archive_and_ascending_front(res);
+    // Elites survive generations, so a run revisits configurations; the
+    // history still counts every visit while the archive does not.
+    std::size_t feasible_visits = 0;
+    for (const auto& h : res.history) feasible_visits += h.feasible;
+    EXPECT_LT(res.archive.size(), feasible_visits);
+  }
+}
+
+TEST_F(ga_fixture, island_archive_holds_each_configuration_once) {
+  ga_options opt = tiny_ga(4);
+  opt.population = 16;
+  opt.island.islands = 2;
+  opt.island.migration_interval = 2;
+  expect_distinct_archive_and_ascending_front(evolve(space, eval, opt));
+}
+
 TEST_F(ga_fixture, deterministic_for_same_seed) {
   const ga_result a = evolve(space, eval, tiny_ga(5));
   const ga_result b = evolve(space, eval, tiny_ga(5));

@@ -96,6 +96,20 @@ TEST_F(service_fixture, analytic_search_validates_as_cross_phase_hits) {
   EXPECT_FALSE(rep.surrogate_fidelity.has_value());
 }
 
+TEST_F(service_fixture, report_front_has_no_repeated_configurations) {
+  mapping_request islands = tiny_request(cnn.name, 3);
+  islands.ga.population = 16;
+  islands.ga.island.islands = 2;
+  for (const mapping_request& req : {tiny_request(cnn.name), islands}) {
+    const mapping_report rep = service.map(req);
+    ASSERT_FALSE(rep.front.empty());
+    for (std::size_t i = 0; i < rep.front.size(); ++i)
+      for (std::size_t j = i + 1; j < rep.front.size(); ++j)
+        EXPECT_FALSE(rep.front[i].config == rep.front[j].config)
+            << "front[" << i << "] repeats at " << j;
+  }
+}
+
 TEST_F(service_fixture, surrogate_trains_once_per_session) {
   mapping_request req = tiny_request(cnn.name);
   req.use_surrogate = true;
@@ -256,6 +270,12 @@ TEST_F(service_fixture, island_requests_flow_through_the_service) {
   // Island knobs are per-request (like the rest of ga_options): both runs
   // were served by one session.
   EXPECT_EQ(service.session_count(), 1u);
+}
+
+TEST(service_lifetime, rejects_zero_workers) {
+  service_options opt = small_service();
+  opt.workers = 0;
+  EXPECT_THROW(mapping_service{opt}, std::invalid_argument);
 }
 
 TEST(service_lifetime, lru_cap_bounds_the_session_registry) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "core/objective.h"
 #include "core/pareto.h"
@@ -130,6 +131,61 @@ TEST(pareto, single_point) {
 
 TEST(pareto, empty_input_empty_front) {
   EXPECT_TRUE(pareto_front({}).empty());
+}
+
+TEST(pareto, rejects_bad_shapes) {
+  EXPECT_THROW((void)pareto_front({{}, {}}), std::invalid_argument);
+  EXPECT_THROW((void)pareto_front({{1.0, 2.0, 3.0, 4.0}}), std::invalid_argument);
+  EXPECT_THROW((void)pareto_front({{1.0, 2.0}, {1.0}}), std::invalid_argument);
+  EXPECT_THROW((void)pareto_front({{1.0, 2.0}, {0.5, std::nan("")}}), std::invalid_argument);
+}
+
+/// The definition, verbatim: a row is on the front unless another row is
+/// <= in every component and < in one.
+std::vector<std::size_t> pairwise_front(const std::vector<std::vector<double>>& pts) {
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < pts.size() && !dominated; ++j) {
+      bool no_worse = true;
+      bool better = false;
+      for (std::size_t k = 0; k < pts[i].size(); ++k) {
+        no_worse = no_worse && pts[j][k] <= pts[i][k];
+        better = better || pts[j][k] < pts[i][k];
+      }
+      dominated = no_worse && better;
+    }
+    if (!dominated) front.push_back(i);
+  }
+  return front;
+}
+
+// Differential test against the pairwise definition: random, tie-heavy
+// (few distinct levels per axis, so many rows share coordinates) and
+// duplicate-heavy (exact copies of earlier rows) sets of width 1 to 3.
+TEST(pareto, sweep_matches_pairwise_definition) {
+  util::rng gen{2023};
+  for (int set = 0; set < 1200; ++set) {
+    const auto width = static_cast<std::size_t>(1 + set % 3);
+    const int kind = (set / 3) % 3;  // 0 random, 1 tie-heavy, 2 duplicate-heavy
+    const auto n = static_cast<std::size_t>(gen.uniform_int(0, 300));
+    const auto levels = gen.uniform_int(3, 8);
+    std::vector<std::vector<double>> pts;
+    pts.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (kind == 2 && !pts.empty() && gen.bernoulli(0.3)) {
+        pts.push_back(pts[static_cast<std::size_t>(
+            gen.uniform_int(0, static_cast<std::int64_t>(pts.size()) - 1))]);
+        continue;
+      }
+      std::vector<double> p(width);
+      for (double& v : p)
+        v = kind == 1 ? static_cast<double>(gen.uniform_int(0, levels - 1)) : gen.uniform(-5, 5);
+      pts.push_back(std::move(p));
+    }
+    ASSERT_EQ(pareto_front(pts), pairwise_front(pts))
+        << "set " << set << ": width " << width << ", kind " << kind << ", n " << n;
+  }
 }
 
 TEST(hypervolume, matches_hand_computed_rectangles) {

@@ -12,11 +12,13 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serving/request_scheduler.h"
+#include "util/strings.h"
 #include "util/wrr_queue.h"
 
 namespace {
@@ -287,9 +289,9 @@ TEST(request_scheduler, wrr_prevents_single_session_starvation) {
 
   // A flood of 6 distinct requests on one session, then 2 polite ones.
   for (int i = 0; i < 6; ++i)
-    futures.push_back(sched.submit("flood", "", named("f" + std::to_string(i))));
+    futures.push_back(sched.submit("flood", "", named(util::format("f%d", i))));
   for (int i = 0; i < 2; ++i)
-    futures.push_back(sched.submit("polite", "", named("p" + std::to_string(i))));
+    futures.push_back(sched.submit("polite", "", named(util::format("p%d", i))));
   exec.release();
   for (auto& f : futures) (void)f.get();
 
@@ -385,6 +387,11 @@ TEST(request_scheduler, shutdown_fails_queued_requests_and_finishes_running_ones
   } catch (const admission_error& e) {
     EXPECT_EQ(e.why(), admission_error::reason::shutdown);
   }
+}
+
+TEST(request_scheduler, rejects_zero_workers) {
+  gated_executor exec;
+  EXPECT_THROW((request_scheduler{{}, 0, exec.fn()}), std::invalid_argument);
 }
 
 TEST(request_scheduler, executor_exceptions_count_as_failed) {

@@ -1,6 +1,7 @@
 // Search-strategy portfolio tests: golden bit-identity of the refactored
 // K=1 GA against the pre-refactor implementation (tests/golden/k1_ga.txt,
-// captured before core::evolve was split over search_strategy), SA
+// captured before core::evolve was split over search_strategy; its archive,
+// best_index and pareto lines since keep each configuration once), SA
 // determinism under its frozen schedule, heterogeneous island runs, and the
 // surrogate pre-filter's exact counters.
 
@@ -69,7 +70,10 @@ void expect_same_result(const ga_result& a, const ga_result& b) {
 
 /// Formats exactly like the golden generator did (printf %.17g), so the
 /// comparison is literal text equality — any drift in any double shows up
-/// as a diff, not a tolerance question.
+/// as a diff, not a tolerance question. The `h` lines are the pre-refactor
+/// trajectory byte for byte; the `a` lines are its archive with repeated
+/// configurations removed by first occurrence, and `best_index`/`pareto`
+/// index that archive.
 std::string golden_format(const std::vector<std::uint64_t>& seeds, const search_space& space,
                           const evaluator& eval) {
   std::string out = "mapcq-golden-k1-ga-v1\n";
