@@ -1,12 +1,28 @@
 #include "core/evaluation_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
+#include <thread>
 #include <utility>
 
 namespace mapcq::core {
 
 namespace {
+
+// How long the thread waiting for a batch polls its countdown, yielding,
+// before it blocks on the batch's future. Longer than a GA generation's
+// batch, so a search's coordinator stays running while its batch is
+// evaluated: a blocked waiter must be woken by the last worker, and on a
+// virtual machine whose idle vCPUs halt that wake-up waits for the host
+// to run the vCPU again (see util::thread_pool::poll_window).
+constexpr std::chrono::milliseconds kBatchPoll{10};
+
+void poll_until_done(const std::atomic<std::size_t>& remaining) {
+  const auto until = std::chrono::steady_clock::now() + kBatchPoll;
+  while (remaining.load(std::memory_order_acquire) != 0 && std::chrono::steady_clock::now() < until)
+    std::this_thread::yield();
+}
 
 // A capacity bound is a maximum: never spread it over more shards than
 // entries, or the per-shard floor of 1 would let the table exceed it.
@@ -343,6 +359,7 @@ std::vector<evaluation> evaluation_engine::evaluate_batch(
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) done.set_value();
       });
     }
+    poll_until_done(remaining);
     all_done.wait();
   } else {
     for (const std::size_t gi : plan.owners) run_owner(plan, gi);
@@ -422,6 +439,7 @@ std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
   // Deferred assembly: runs on the thread that calls get()/wait(); an
   // abandoned owner's exception rethrows there.
   return std::async(std::launch::deferred, [this, state] {
+    poll_until_done(state->remaining);
     state->done_future.wait();
     finish_plan(*state->plan);
     return std::move(state->plan->out);

@@ -134,7 +134,8 @@ class evaluation_engine {
   /// in-batch duplicates, joins candidates already in flight on other
   /// threads, then evaluates the distinct misses across the worker pool.
   /// The result vector is index-aligned with `configs` regardless of thread
-  /// count. Blocks the calling thread until every element is resolved.
+  /// count. Blocks the calling thread until every element is resolved
+  /// (polling for up to 10 ms before it sleeps, see `evaluate_batch_async`).
   [[nodiscard]] std::vector<evaluation> evaluate_batch(std::span<const configuration> configs);
 
   /// A whole population, asynchronously. The cache probe, in-batch dedup
@@ -146,6 +147,9 @@ class evaluation_engine {
   /// The returned future assembles the index-aligned result vector lazily:
   /// call `get()` (or `wait()`) to block until every element — including
   /// candidates joined from other threads' in-flight runs — is resolved.
+  /// The waiting thread polls the batch's progress, yielding, for up to
+  /// 10 ms before it sleeps: a GA coordinator waits for one batch per
+  /// generation, and staying awake spares it a wake-up per generation.
   /// Worker threads never block on other batches, so any number of async
   /// batches may safely overlap on one engine; this is what lets the
   /// island GA keep the pool busy while individual islands rank and breed.

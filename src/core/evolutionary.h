@@ -162,11 +162,18 @@ struct generation_stats {
   double best_objective = 0.0;
   double mean_objective = 0.0;
   std::size_t feasible = 0;
-  std::size_t cache_hits = 0;       ///< population members served from the memo cache
+  /// Population members served from the memo cache. With K > 1 islands a
+  /// candidate another island is still evaluating lands here or in
+  /// `cache_inflight` depending on thread timing; their sum repeats.
+  std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;     ///< distinct evaluator runs this generation
   std::size_t cache_dedup = 0;      ///< in-generation duplicate candidates collapsed
-  std::size_t cache_inflight = 0;   ///< candidates joined from a concurrent in-flight run
-  std::size_t cache_evictions = 0;  ///< entries dropped under capacity pressure
+  /// Candidates joined from a concurrent in-flight run (timing-dependent
+  /// with K > 1; see `cache_hits`).
+  std::size_t cache_inflight = 0;
+  /// Entries dropped under capacity pressure. With K > 1, attributed to the
+  /// generation whose processing window observed them.
+  std::size_t cache_evictions = 0;
   /// Candidates that passed the surrogate pre-filter and were evaluated
   /// analytically this generation. 0 when filtering was off (all candidates
   /// count as regular cache traffic instead).
@@ -233,9 +240,14 @@ class candidate_prefilter {
 /// a shared engine stay deterministic because evaluation is pure. Cache
 /// counters (per generation and `ga_result::cache`) are deltas of the
 /// engine's global stats, so when several searches share one engine
-/// concurrently they include the other searches' traffic; with K > 1
-/// islands, per-generation eviction counts are attributed to the
-/// generation whose processing window observed them.
+/// concurrently they include the other searches' traffic. With K > 1
+/// islands two counters also depend on thread timing: whether a candidate
+/// another island is still evaluating counts as a hit or an in-flight join
+/// (the sum `cache_hits + cache_inflight` does not), and which generation's
+/// processing window observes an eviction. On a fresh, unbounded engine
+/// `cache_misses`, `cache_dedup`, `cache_hits + cache_inflight` and
+/// `cache_evictions` repeat exactly per generation, as do the archive, the
+/// front and `history`'s objectives.
 ///
 /// `prefilter` gates candidate evaluation when
 /// `opt.portfolio.prefilter.enabled` (see prefilter_options); it is ignored

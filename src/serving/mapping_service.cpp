@@ -55,7 +55,8 @@ class surrogate_prefilter final : public core::candidate_prefilter {
 
 }  // namespace
 
-mapping_service::mapping_service(service_options opt) : opt_(opt) {
+mapping_service::mapping_service(service_options opt)
+    : opt_(opt), predictors_(std::make_shared<predictor_pool>()) {
   if (opt_.engine.threads == 0)
     opt_.engine.threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   if (opt_.workers == 0) throw std::invalid_argument("mapping_service: workers must be at least 1");
@@ -210,7 +211,7 @@ std::shared_ptr<mapping_session> mapping_service::session_for(const mapping_requ
   }
   auto session = std::make_shared<mapping_session>(key, net_it->second, plat_it->second, req.eval,
                                                    req.ratio_levels, req.ranking_seed, opt_.engine,
-                                                   opt_.refresh);
+                                                   predictors_, opt_.refresh);
   maybe_restore_locked(key, *session);
   sessions_.emplace(key, session_entry{session, now});
   enforce_capacity_locked(key);
@@ -218,6 +219,14 @@ std::shared_ptr<mapping_session> mapping_service::session_for(const mapping_requ
 }
 
 mapping_report mapping_service::map(const mapping_request& req) {
+  // Surrogate-guided pre-filtering gates an *analytic* search: scoring a
+  // surrogate-backed search with the same surrogate would filter nothing.
+  // Rejected before any session exists, so the doomed request neither fits
+  // a surrogate nor locks a session's training knobs.
+  if (req.ga.portfolio.prefilter.enabled && req.use_surrogate)
+    throw std::invalid_argument(
+        "mapping_service: ga.portfolio.prefilter requires an analytic search "
+        "(set use_surrogate = false)");
   const std::shared_ptr<mapping_session> session = session_for(req);
 
   mapping_report rep;
@@ -262,14 +271,8 @@ mapping_report mapping_service::map(const mapping_request& req) {
     rep.trained_surrogate = trained_now;
     rep.surrogate_fidelity = session->surrogate_fidelity();
   }
-  // Surrogate-guided pre-filtering gates an *analytic* search: scoring a
-  // surrogate-backed search with the same surrogate would filter nothing.
   std::unique_ptr<surrogate_prefilter> prefilter;
   if (req.ga.portfolio.prefilter.enabled) {
-    if (req.use_surrogate)
-      throw std::invalid_argument(
-          "mapping_service: ga.portfolio.prefilter requires an analytic search "
-          "(set use_surrogate = false)");
     bool trained_now = false;
     prefilter = std::make_unique<surrogate_prefilter>(
         session->surrogate_engine(req.bench, req.gbt, &trained_now));

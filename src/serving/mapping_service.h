@@ -6,10 +6,12 @@
 // registry of immutable `mapping_session`s keyed by (network, platform,
 // evaluator options, ranking seed). Requests against the same tuple share
 // one session and therefore one memo cache: the second `map()` of a request
-// costs a fraction of the first, validation of an analytic search is pure
-// cache hits, and the session surrogate trains exactly once. Requests for
-// different tuples get isolated sessions and never contend on each other's
-// cache shards.
+// costs a fraction of the first and validation of an analytic search is pure
+// cache hits. Requests for different tuples get isolated sessions and never
+// contend on each other's cache shards. The surrogate is fitted once per
+// (network, platform, bench, gbt) across all sessions: the service's
+// `predictor_pool` keeps the fit, also after the session that ran it is
+// evicted.
 //
 // Under many distinct (network, options) tuples the registry is kept
 // memory-bounded: `service_options::max_sessions` caps it with LRU
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "serving/mapping_types.h"
+#include "serving/predictor_pool.h"
 #include "serving/request_scheduler.h"
 #include "serving/session.h"
 
@@ -84,9 +87,12 @@ struct service_options {
   scheduler_options scheduler;
 
   /// Maximum live sessions; 0 = unbounded. When a new session would exceed
-  /// the cap, the least-recently-used session is evicted (its caches and
-  /// trained surrogate are dropped; requests in flight keep it alive via
-  /// their shared_ptr and a later identical request rebuilds it cold).
+  /// the cap, the least-recently-used session is evicted (its caches are
+  /// dropped; requests in flight keep it alive via their shared_ptr and a
+  /// later identical request rebuilds it cold). Its fitted surrogate stays
+  /// in the service's predictor pool (bounded by predictor_pool::capacity),
+  /// so the rebuilt session adopts it instead of fitting again; a promoted
+  /// refresh model is not pooled and is dropped with the session.
   std::size_t max_sessions = 0;
   /// Idle time after which a session expires; zero = never. A session is
   /// "used" when a request resolves it and again when the request
@@ -104,7 +110,8 @@ struct service_options {
 /// Ownership: the service copies registered networks/platforms (callers
 /// may drop theirs) and owns every session it creates. `session_for` hands
 /// out shared_ptrs, so an evicted or expired session stays valid for
-/// whoever still holds it.
+/// whoever still holds it. The predictor pool is shared with every session
+/// (shared_ptr), so it lives as long as its last holder.
 ///
 /// Thread-safety: every public member may be called concurrently. Requests
 /// that share a session share its engines; thanks to the engine's
@@ -134,7 +141,8 @@ class mapping_service {
   void register_platform(const soc::platform& plat);
 
   /// Serves one request synchronously: blocks the calling thread through
-  /// surrogate training (first surrogate request of a session), the GA
+  /// the surrogate fit (first surrogate request for a network, platform and
+  /// set of training knobs; other sessions wait on it or adopt it), the GA
   /// search (including `req.ga.island` sharded searches) and the analytic
   /// validation of the Pareto picks. Safe to call from any thread; racing
   /// calls on one session share its memo cache and in-flight runs.
@@ -238,7 +246,9 @@ class mapping_service {
   void enforce_capacity_locked(const std::string& keep);
 
   service_options opt_;
-  mutable std::mutex mu_;  ///< guards the three registries + pool creation
+  /// Fitted surrogates shared by every session this service creates.
+  std::shared_ptr<predictor_pool> predictors_;
+  mutable std::mutex mu_;  ///< guards the three registries + scheduler creation
   std::unordered_map<std::string, std::shared_ptr<const nn::network>> networks_;
   std::unordered_map<std::string, std::shared_ptr<const soc::platform>> platforms_;
   /// Bumped on every (re-)registration; part of the session key so a

@@ -148,7 +148,11 @@ struct mapping_report {
 
   /// Held-out fidelity of the session surrogate (set when use_surrogate).
   std::optional<surrogate::hw_predictor::fidelity> surrogate_fidelity;
-  bool trained_surrogate = false;  ///< true when this request trained the session GBT
+  /// True only when this request ran the surrogate fit. False when the
+  /// session already held its predictor, restored one from a snapshot, or
+  /// adopted one the service's predictor pool had fitted for another
+  /// session with the same (network, platform, bench, gbt).
+  bool trained_surrogate = false;
 
   /// Refresh-pipeline snapshot of the serving session, present only when
   /// the session runs with `service_options::refresh.enabled` and its

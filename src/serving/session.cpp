@@ -19,12 +19,18 @@ core::evaluator_options strip_predictor(core::evaluator_options opt) {
   return opt;
 }
 
+std::shared_ptr<predictor_pool> require_pool(std::shared_ptr<predictor_pool> pool) {
+  if (!pool) throw std::invalid_argument("mapping_session: null predictor pool");
+  return pool;
+}
+
 }  // namespace
 
 mapping_session::mapping_session(std::string key, std::shared_ptr<const nn::network> net,
                                  std::shared_ptr<const soc::platform> plat,
                                  core::evaluator_options eval_opt, int ratio_levels,
                                  std::uint64_t ranking_seed, core::engine_options engine_opt,
+                                 std::shared_ptr<predictor_pool> pool,
                                  surrogate::refresh_options refresh_opt)
     : key_(std::move(key)),
       net_(std::move(net)),
@@ -32,6 +38,7 @@ mapping_session::mapping_session(std::string key, std::shared_ptr<const nn::netw
       eval_opt_(strip_predictor(std::move(eval_opt))),
       ranking_seed_(ranking_seed),
       engine_opt_(engine_opt),
+      pool_(require_pool(std::move(pool))),
       refresh_opt_(refresh_opt),
       // CUs reserved by co-residents leave the mapping permutation entirely:
       // the search proposes only mappings this session may actually run.
@@ -102,14 +109,15 @@ core::evaluation_engine& mapping_session::surrogate_engine(
   {
     const std::lock_guard<std::mutex> lock{surrogate_mu_};
     if (!predictor_) {
-      // Train once per session (paper §V-E), then pin an evaluator/engine
-      // pair to the fitted predictor so every later surrogate request reuses
-      // both the model and the memo cache.
-      const std::vector<const nn::network*> nets = {net_.get()};
-      const surrogate::dataset data = surrogate::generate_benchmark(nets, *plat_, bench);
-      surrogate::dataset_split parts = surrogate::split(data, 0.8, bench.seed ^ 0x5eed);
-      predictor_ = std::make_shared<const surrogate::hw_predictor>(parts.train, gbt);
-      fidelity_ = predictor_->evaluate(parts.test);
+      // Fit once per (network, platform, bench, gbt) per service (paper
+      // §V-E): the pool runs the fit for the first session and hands later
+      // ones the same immutable predictor. Then pin an evaluator/engine
+      // pair to it so every later surrogate request reuses both the model
+      // and the memo cache. A throwing fit leaves predictor_ null.
+      bool fitted = false;
+      pooled_fit fit = pool_->acquire(net_, plat_, bench, gbt, &fitted);
+      predictor_ = std::move(fit.predictor);
+      fidelity_ = fit.fidelity;
       bench_ = bench;
       gbt_ = gbt;
       core::evaluator_options opt = eval_opt_;
@@ -121,14 +129,16 @@ core::evaluation_engine& mapping_session::surrogate_engine(
         // traffic (cache misses during analytic searches and validation).
         // Building it before installing the tap, inside this locked section,
         // is what lets the tap use `refresh_` without taking surrogate_mu_.
+        // The pool keeps predictors, not datasets, so the training split
+        // the candidates refit on is regenerated (a few ms next to a fit).
         refresh_ = std::make_unique<surrogate::refresh_pipeline>(
-            refresh_opt_, gbt, std::move(parts.train), predictor_,
+            refresh_opt_, gbt, surrogate_split(*net_, *plat_, bench).train, predictor_,
             [this](std::shared_ptr<const surrogate::hw_predictor> cand) {
               promote(std::move(cand));
             });
         install_tap = true;
       }
-      if (trained_now) *trained_now = true;
+      if (trained_now) *trained_now = fitted;
     } else {
       if (bench_ != bench || gbt_ != gbt)
         throw std::invalid_argument(

@@ -7,22 +7,26 @@
 //   * the analytic engine serves validation and analytic searches, which is
 //     exactly what turns search -> validation into cache hits when the
 //     search already ran on the analytic model;
-//   * the surrogate engine (lazily trained on first use) serves surrogate
-//     searches, so repeated requests skip both GBT training and re-runs.
+//   * the surrogate engine (built on first use) serves surrogate searches,
+//     so repeated requests skip both the GBT fit and re-runs.
 // Sessions are immutable once created: the key never changes and the first
 // surrogate request locks the training knobs in.
 //
 // Ownership: a session copies nothing per-request — it shares the
 // registered network/platform snapshots with the service (shared_ptr) and
-// owns its evaluators, engines and trained predictor outright. Sessions are
-// handed out as shared_ptr, so one evicted from the service registry (LRU
-// cap or idle TTL) keeps serving whoever still holds it.
+// owns its evaluators and engines outright. Its initial predictor is
+// shared, not owned: the service's predictor_pool fits it once per
+// (network, platform, bench, gbt) and every session with that key adopts
+// the same immutable predictor. Refresh promotions replace the session's
+// predictor only. Sessions are handed out as shared_ptr, so one evicted
+// from the service registry (LRU cap or idle TTL) keeps serving whoever
+// still holds it.
 //
 // Thread-safety: every member is safe to call concurrently. The engines do
 // their own striped locking (and cross-thread in-flight dedup, so racing
 // requests never evaluate a candidate twice); the lazy surrogate state is
 // guarded by `surrogate_mu_` — concurrent first-callers block until the one
-// training run finishes.
+// pool acquire (a fit, or a wait on another session's fit) returns.
 
 #include <cstdint>
 #include <memory>
@@ -35,6 +39,7 @@
 #include "core/evaluator.h"
 #include "core/search_space.h"
 #include "nn/graph.h"
+#include "serving/predictor_pool.h"
 #include "serving/session_snapshot.h"
 #include "soc/platform.h"
 #include "surrogate/dataset.h"
@@ -46,14 +51,16 @@ namespace mapcq::serving {
 
 class mapping_session {
  public:
-  /// `eval_opt.predictor` is ignored (forced null); the session installs its
-  /// own predictor into the surrogate evaluator. `refresh_opt.enabled`
-  /// turns on the online surrogate-refresh pipeline for this session (see
-  /// surrogate::refresh_pipeline); disabled, the session behaves exactly
-  /// as before the pipeline existed.
+  /// `eval_opt.predictor` is ignored (forced null); the session installs the
+  /// predictor it takes from `pool` into the surrogate evaluator.
+  /// `refresh_opt.enabled` turns on the online surrogate-refresh pipeline
+  /// for this session (see surrogate::refresh_pipeline); disabled, the
+  /// session behaves exactly as before the pipeline existed. Throws
+  /// std::invalid_argument on a null pool.
   mapping_session(std::string key, std::shared_ptr<const nn::network> net,
                   std::shared_ptr<const soc::platform> plat, core::evaluator_options eval_opt,
                   int ratio_levels, std::uint64_t ranking_seed, core::engine_options engine_opt,
+                  std::shared_ptr<predictor_pool> pool,
                   surrogate::refresh_options refresh_opt = {});
 
   /// Quiesces the ground-truth tap and drains any in-flight refit before
@@ -73,20 +80,25 @@ class mapping_session {
   /// valid for the session's lifetime.
   [[nodiscard]] core::evaluation_engine& analytic_engine() noexcept { return analytic_engine_; }
 
-  /// The surrogate engine. The first caller blocks through benchmark
-  /// generation and GBT training with `bench`/`gbt` (thread-safe;
-  /// concurrent first-callers block on the one training run); later callers
-  /// must pass the same knobs or get std::invalid_argument — sessions are
-  /// immutable, fork one via the evaluator options or ranking seed instead.
-  /// `trained_now` (optional out) reports whether this call trained it.
+  /// The surrogate engine. The first caller takes the predictor for
+  /// (network, platform, `bench`, `gbt`) from the pool, blocking through
+  /// the fit when no session has run it yet (thread-safe; concurrent
+  /// first-callers block on the one acquire). A fit that throws leaves the
+  /// session without a surrogate, and the next call tries again. Later
+  /// callers must pass the same knobs or get std::invalid_argument —
+  /// sessions are immutable, fork one via the evaluator options or ranking
+  /// seed instead. `trained_now` (optional out) reports whether this call
+  /// ran the fit: false when the session already had its predictor or
+  /// adopted one the pool had fitted for another session.
   [[nodiscard]] core::evaluation_engine& surrogate_engine(
       const surrogate::benchmark_options& bench, const surrogate::gbt_params& gbt,
       bool* trained_now = nullptr);
 
+  /// Whether the session holds a predictor (fitted, pooled or restored).
   [[nodiscard]] bool surrogate_trained() const;
   /// Held-out fidelity of the *initial* session GBT (the refresh pipeline
-  /// reports promoted models through `refresh_stats`); nullopt until
-  /// trained.
+  /// reports promoted models through `refresh_stats`); nullopt until the
+  /// session holds a predictor.
   [[nodiscard]] std::optional<surrogate::hw_predictor::fidelity> surrogate_fidelity() const;
 
   /// Refresh-pipeline counters; nullopt while no pipeline exists (refresh
@@ -117,8 +129,9 @@ class mapping_session {
   [[nodiscard]] session_snapshot snapshot();
 
   /// Warm-starts this session from a snapshot taken by `snapshot()`:
-  /// imports both caches, adopts the fitted ensembles without retraining
-  /// (predictions bit-identical to the snapshotted model), and resumes the
+  /// imports both caches, adopts the snapshot's own fitted ensembles without
+  /// retraining and without consulting the predictor pool (predictions
+  /// bit-identical to the snapshotted model), and resumes the
   /// refresh reservoir. Only valid on a *fresh* session — same key, no
   /// surrogate trained, no traffic served; throws snapshot_error on a key
   /// mismatch and std::logic_error on a non-fresh session. The surrogate
@@ -152,6 +165,7 @@ class mapping_session {
   core::evaluator_options eval_opt_;  ///< predictor forced to nullptr
   std::uint64_t ranking_seed_;
   core::engine_options engine_opt_;
+  std::shared_ptr<predictor_pool> pool_;
   surrogate::refresh_options refresh_opt_;
   core::search_space space_;
   core::evaluator analytic_eval_;

@@ -26,6 +26,7 @@ void thread_pool::submit(std::function<void()> task) {
     const std::lock_guard lock(mutex_);
     if (stopping_) throw std::runtime_error("thread_pool::submit: pool is stopping");
     queue_.push(std::move(task));
+    queued_.store(queue_.size(), std::memory_order_relaxed);
   }
   cv_task_.notify_one();
 }
@@ -56,6 +57,7 @@ void thread_pool::worker_loop() {
       if (stopping_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
       ++active_;
     }
     task();
@@ -64,6 +66,10 @@ void thread_pool::worker_loop() {
       --active_;
       if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
     }
+    const auto until = std::chrono::steady_clock::now() + poll_window;
+    while (queued_.load(std::memory_order_relaxed) == 0 &&
+           !stopping_.load(std::memory_order_relaxed) && std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
   }
 }
 

@@ -2,6 +2,8 @@
 // Fixed-size worker pool used to evaluate GA populations in parallel.
 // Plays the role of the paper's 12-GPU evaluation cluster (§VI-A).
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -28,9 +30,19 @@ namespace mapcq::util {
 /// Blocking: `submit` never blocks beyond the queue mutex; `wait_idle` and
 /// `parallel_for` block the caller; the destructor blocks until running
 /// tasks finish (queued-but-unstarted tasks still run first — it drains,
-/// it does not cancel).
+/// it does not cancel). A worker that has just run a task polls the queue,
+/// yielding, for up to `poll_window` before it sleeps.
 class thread_pool {
  public:
+  /// How long a worker that has just run a task keeps polling for the next
+  /// one before it sleeps. It covers the gap between two generations of a
+  /// GA search (the coordinator ranking and breeding), so a search's
+  /// workers stay running from batch to batch: a sleeping worker must be
+  /// woken for the next batch, and on a virtual machine whose idle vCPUs
+  /// halt, every such wake-up waits for the host to run the vCPU again. A
+  /// pool that falls idle spends at most this much CPU per worker.
+  static constexpr std::chrono::milliseconds poll_window{2};
+
   /// Spawns `threads` workers (at least one).
   explicit thread_pool(std::size_t threads);
   /// Drains the queue, then joins every worker (see class comment).
@@ -64,7 +76,10 @@ class thread_pool {
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t active_ = 0;
-  bool stopping_ = false;
+  /// `queued_` mirrors `queue_.size()`. Both are written under `mutex_`
+  /// and read without it by polling workers.
+  std::atomic<std::size_t> queued_{0};
+  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace mapcq::util

@@ -210,6 +210,38 @@ TEST_F(ga_fixture, islands_share_one_engine_cache) {
   EXPECT_EQ(warm.cache.misses, 0u);
 }
 
+TEST_F(ga_fixture, island_cache_counters_repeat_except_the_hit_inflight_split) {
+  // With K > 1, whether a candidate another island is still evaluating
+  // counts as a hit or an in-flight join depends on thread timing. Their
+  // sum, the other counters and the result repeat exactly on fresh engines.
+  ga_options opt = tiny_ga(4);
+  opt.generations = 10;
+  opt.population = 24;
+  opt.island.islands = 2;
+  opt.island.migration_interval = 2;
+  std::vector<ga_result> runs;
+  for (int r = 0; r < 4; ++r) {
+    core::engine_options eopt;
+    eopt.threads = 3;
+    core::evaluation_engine engine{eval, eopt};
+    runs.push_back(evolve(space, engine, opt));
+  }
+  const ga_result& first = runs.front();
+  for (const ga_result& run : runs) {
+    expect_same_result(first, run);
+    ASSERT_EQ(run.history.size(), first.history.size());
+    for (std::size_t g = 0; g < run.history.size(); ++g) {
+      const core::generation_stats& a = first.history[g];
+      const core::generation_stats& b = run.history[g];
+      EXPECT_EQ(a.cache_misses, b.cache_misses) << "generation " << g;
+      EXPECT_EQ(a.cache_dedup, b.cache_dedup) << "generation " << g;
+      EXPECT_EQ(a.cache_hits + a.cache_inflight, b.cache_hits + b.cache_inflight)
+          << "generation " << g;
+      EXPECT_EQ(a.cache_evictions, b.cache_evictions) << "generation " << g;
+    }
+  }
+}
+
 TEST_F(ga_fixture, rejects_island_counts_that_starve_islands) {
   ga_options opt = tiny_ga();
   opt.population = 12;

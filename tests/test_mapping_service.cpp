@@ -1,14 +1,17 @@
 // Serving front-end tests: session registry keying, warm-cache reuse with
 // bit-identical reports, cross-phase cache continuity, one-shot surrogate
-// training, async submission, concurrency (shared session vs isolated
-// sessions), report-summary round-trips and the scheduler row's two
-// arities.
+// training, the service's predictor pool (single flight, failed fits,
+// LRU bound, snapshot keys), async submission, concurrency (shared session
+// vs isolated sessions), report-summary round-trips and the scheduler row's
+// two arities.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "core/serialization.h"
 #include "nn/models.h"
 #include "serving/mapping_service.h"
+#include "serving/predictor_pool.h"
+#include "serving/session_snapshot.h"
 #include "soc/platform.h"
 #include "util/rng.h"
 
@@ -424,6 +429,229 @@ TEST_F(service_fixture, orientation_selects_the_best_pick) {
   const mapping_report balanced = service.map(req);
   for (const auto& e : balanced.front)
     EXPECT_LE(balanced.best().objective, e.objective);
+}
+
+// ---------------------------------------------------------------------------
+// Predictor pool: one fit per (network, platform, bench, gbt), shared by
+// every session with that key, without changing a bit of any report.
+// ---------------------------------------------------------------------------
+
+mapping_request surrogate_request(const std::string& network, std::uint64_t ranking_seed) {
+  mapping_request req = tiny_request(network);
+  req.use_surrogate = true;
+  req.ranking_seed = ranking_seed;
+  req.bench.samples = 400;
+  req.gbt.n_trees = 12;
+  return req;
+}
+
+void expect_same_fidelity(const surrogate::hw_predictor::fidelity& a,
+                          const surrogate::hw_predictor::fidelity& b) {
+  EXPECT_EQ(a.latency_rmse, b.latency_rmse);
+  EXPECT_EQ(a.latency_mape, b.latency_mape);
+  EXPECT_EQ(a.latency_r2, b.latency_r2);
+  EXPECT_EQ(a.energy_rmse, b.energy_rmse);
+  EXPECT_EQ(a.energy_mape, b.energy_mape);
+  EXPECT_EQ(a.energy_r2, b.energy_r2);
+}
+
+struct pool_fixture : ::testing::Test {
+  std::shared_ptr<const nn::network> net =
+      std::make_shared<const nn::network>(nn::build_simple_cnn());
+  std::shared_ptr<const soc::platform> plat =
+      std::make_shared<const soc::platform>(soc::agx_xavier());
+  surrogate::benchmark_options bench = surrogate_request(net->name, 0).bench;
+  surrogate::gbt_params gbt = surrogate_request(net->name, 0).gbt;
+};
+
+TEST_F(pool_fixture, pooled_predictor_scores_bit_identically_to_a_fresh_fit) {
+  serving::predictor_pool pool;
+  bool fitted = false;
+  const serving::pooled_fit first = pool.acquire(net, plat, bench, gbt, &fitted);
+  EXPECT_TRUE(fitted);
+  const serving::pooled_fit again = pool.acquire(net, plat, bench, gbt, &fitted);
+  EXPECT_FALSE(fitted);
+  EXPECT_EQ(again.predictor, first.predictor);  // one immutable predictor, shared
+  EXPECT_EQ(pool.size(), 1u);
+
+  const surrogate::dataset_split parts = serving::surrogate_split(*net, *plat, bench);
+  const surrogate::hw_predictor fresh{parts.train, gbt};
+  std::vector<double> rows;
+  for (const std::vector<double>& x : parts.test.x) rows.insert(rows.end(), x.begin(), x.end());
+  const std::size_t n = parts.test.size();
+  ASSERT_GT(n, 0u);
+  std::vector<double> lat_pooled(n), en_pooled(n), lat_fresh(n), en_fresh(n);
+  first.predictor->predict(rows, lat_pooled, en_pooled);
+  fresh.predict(rows, lat_fresh, en_fresh);
+  EXPECT_EQ(lat_pooled, lat_fresh);
+  EXPECT_EQ(en_pooled, en_fresh);
+  expect_same_fidelity(first.fidelity, fresh.evaluate(parts.test));
+}
+
+TEST_F(pool_fixture, failed_fit_reaches_its_waiter_and_the_next_caller_fits_again) {
+  std::atomic<int> calls{0};
+  std::promise<void> release;
+  const std::shared_future<void> go = release.get_future().share();
+  serving::predictor_pool pool{[&](const nn::network& n, const soc::platform& p,
+                                   const surrogate::benchmark_options& b,
+                                   const surrogate::gbt_params& g) {
+    if (calls.fetch_add(1) == 0) {
+      go.wait();
+      throw std::runtime_error("injected fit failure");
+    }
+    return serving::fit_surrogate(n, p, b, g);
+  }};
+
+  auto fitter = std::async(std::launch::async, [&] { return pool.acquire(net, plat, bench, gbt); });
+  while (pool.stats().fits == 0) std::this_thread::yield();
+  auto waiter = std::async(std::launch::async, [&] { return pool.acquire(net, plat, bench, gbt); });
+  // The waiter counts as a hit once it holds the in-flight fit's future.
+  while (pool.stats().hits == 0) std::this_thread::yield();
+  release.set_value();
+  EXPECT_THROW((void)fitter.get(), std::runtime_error);
+  EXPECT_THROW((void)waiter.get(), std::runtime_error);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(pool.size(), 0u);  // the failed entry is gone, not poisoned
+  EXPECT_EQ(pool.stats().failures, 1u);
+
+  bool fitted = false;
+  const serving::pooled_fit retried = pool.acquire(net, plat, bench, gbt, &fitted);
+  EXPECT_TRUE(fitted);
+  EXPECT_EQ(calls.load(), 2);
+  const serving::pooled_fit adopted = pool.acquire(net, plat, bench, gbt, &fitted);
+  EXPECT_FALSE(fitted);
+  EXPECT_EQ(adopted.predictor, retried.predictor);
+  EXPECT_EQ(calls.load(), 2);
+}
+
+TEST_F(pool_fixture, capacity_evicts_the_least_recently_acquired_fit) {
+  std::size_t calls = 0;  // acquire runs on this thread only
+  const serving::pooled_fit shared = serving::fit_surrogate(*net, *plat, bench, gbt);
+  serving::predictor_pool pool{[&](const auto&...) {
+    ++calls;
+    return shared;
+  }};
+  const auto seeded = [&](std::uint64_t seed) {
+    surrogate::benchmark_options b = bench;
+    b.seed = seed;
+    return b;
+  };
+  constexpr std::size_t cap = serving::predictor_pool::capacity;
+  for (std::uint64_t s = 0; s < cap; ++s) (void)pool.acquire(net, plat, seeded(s), gbt);
+  EXPECT_EQ(calls, cap);
+  (void)pool.acquire(net, plat, seeded(0), gbt);    // seed 1 is now the least recent
+  (void)pool.acquire(net, plat, seeded(cap), gbt);  // ...and is evicted
+  EXPECT_EQ(pool.size(), cap);
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  bool fitted = true;
+  (void)pool.acquire(net, plat, seeded(0), gbt, &fitted);
+  EXPECT_FALSE(fitted);
+  (void)pool.acquire(net, plat, seeded(1), gbt, &fitted);
+  EXPECT_TRUE(fitted);
+
+  // Nested knobs take part in the key through the defaulted operator==.
+  surrogate::gbt_params nested = gbt;
+  nested.tree.min_gain *= 2;
+  (void)pool.acquire(net, plat, seeded(0), nested, &fitted);
+  EXPECT_TRUE(fitted);
+}
+
+TEST_F(service_fixture, concurrent_cold_sessions_fit_one_surrogate) {
+  std::vector<std::future<mapping_report>> runs;
+  for (std::uint64_t r = 0; r < 4; ++r)
+    runs.push_back(std::async(std::launch::async, [this, r] {
+      return service.map(surrogate_request(cnn.name, 100 + r));
+    }));
+  std::vector<mapping_report> reps;
+  for (auto& run : runs) reps.push_back(run.get());
+  EXPECT_EQ(service.session_count(), 4u);
+  std::size_t fitted = 0;
+  for (const mapping_report& rep : reps) {
+    fitted += rep.trained_surrogate ? 1 : 0;
+    ASSERT_TRUE(rep.surrogate_fidelity.has_value());
+    expect_same_fidelity(*rep.surrogate_fidelity, *reps.front().surrogate_fidelity);
+  }
+  EXPECT_EQ(fitted, 1u);
+
+  // Whichever session fitted, each report equals one from a service that
+  // fits for that session alone.
+  mapping_service solo{small_service()};
+  solo.register_network(cnn);
+  solo.register_platform(plat);
+  const mapping_report alone = solo.map(surrogate_request(cnn.name, 103));
+  EXPECT_TRUE(alone.trained_surrogate);
+  expect_same_front(alone, reps[3]);
+  EXPECT_EQ(core::to_text(alone.summary()), core::to_text(reps[3].summary()));
+}
+
+TEST_F(service_fixture, reregistered_network_or_platform_misses_the_pool) {
+  EXPECT_TRUE(service.map(surrogate_request(cnn.name, 1)).trained_surrogate);
+  const mapping_report pooled = service.map(surrogate_request(cnn.name, 2));
+  EXPECT_FALSE(pooled.trained_surrogate);
+
+  // Same contents, new snapshots: each re-registration fits again.
+  service.register_network(cnn);
+  const mapping_report new_net = service.map(surrogate_request(cnn.name, 2));
+  EXPECT_TRUE(new_net.trained_surrogate);
+  service.register_platform(plat);
+  const mapping_report new_plat = service.map(surrogate_request(cnn.name, 2));
+  EXPECT_TRUE(new_plat.trained_surrogate);
+  EXPECT_EQ(service.session_count(), 4u);
+  // Identical contents fit identical predictors.
+  expect_same_fidelity(*new_plat.surrogate_fidelity, *pooled.surrogate_fidelity);
+  expect_same_front(new_plat, pooled);
+}
+
+TEST_F(service_fixture, surrogate_request_with_prefilter_is_rejected_before_any_session) {
+  mapping_request mixed = surrogate_request(cnn.name, 1);
+  mixed.ga.portfolio.prefilter.enabled = true;
+  EXPECT_THROW((void)service.map(mixed), std::invalid_argument);
+  EXPECT_EQ(service.session_count(), 0u);
+
+  // Nothing was fitted or locked: the same session takes other knobs.
+  mapping_request plain = mixed;
+  plain.ga.portfolio.prefilter.enabled = false;
+  plain.gbt.n_trees = 5;
+  const mapping_report rep = service.map(plain);
+  EXPECT_TRUE(rep.trained_surrogate);
+  EXPECT_EQ(service.session_count(), 1u);
+}
+
+TEST_F(service_fixture, failed_fit_leaves_the_session_without_a_surrogate) {
+  mapping_request req = surrogate_request(cnn.name, 1);
+  req.bench.samples = 0;  // empty training set: hw_predictor throws
+  EXPECT_THROW((void)service.map(req), std::invalid_argument);
+  EXPECT_FALSE(service.session_for(req)->surrogate_trained());
+  // The repeat fits (and fails) again rather than waiting on a dead entry.
+  EXPECT_THROW((void)service.map(req), std::invalid_argument);
+  EXPECT_FALSE(service.session_for(req)->surrogate_trained());
+  EXPECT_EQ(service.session_count(), 1u);
+}
+
+TEST(predictor_pool_service, pooled_session_snapshot_equals_a_fitting_sessions) {
+  service_options opt;
+  opt.engine.threads = 1;  // one worker: cache order, and so snapshot text, is deterministic
+  const nn::network cnn = nn::build_simple_cnn();
+  const soc::platform plat = soc::agx_xavier();
+  const mapping_request second = surrogate_request(cnn.name, 2);
+
+  mapping_service pooled{opt};
+  pooled.register_network(cnn);
+  pooled.register_platform(plat);
+  EXPECT_TRUE(pooled.map(surrogate_request(cnn.name, 1)).trained_surrogate);
+  const mapping_report adopted = pooled.map(second);
+  EXPECT_FALSE(adopted.trained_surrogate);
+
+  mapping_service fitting{opt};
+  fitting.register_network(cnn);
+  fitting.register_platform(plat);
+  const mapping_report fitted = fitting.map(second);
+  EXPECT_TRUE(fitted.trained_surrogate);
+
+  expect_same_front(adopted, fitted);
+  EXPECT_EQ(core::to_text(adopted.summary()), core::to_text(fitted.summary()));
+  EXPECT_EQ(serving::to_text(pooled.session_for(second)->snapshot()),
+            serving::to_text(fitting.session_for(second)->snapshot()));
 }
 
 // ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ TEST_F(fuzz_fixture, session_snapshot_text_never_fails_untyped) {
   serving::mapping_session session{
       "fuzz-session", std::make_shared<const nn::network>(net),
       std::make_shared<const soc::platform>(plat), core::evaluator_options{}, 8, 0xC0FFEE,
-      core::engine_options{}};
+      core::engine_options{}, std::make_shared<serving::predictor_pool>()};
   (void)session.analytic_engine().evaluate_batch(sample_configs(5));
   surrogate::benchmark_options bench;
   bench.samples = 120;

@@ -241,6 +241,12 @@ TEST_F(snapshot_fixture, restarted_service_serves_warm_bit_identical_reports) {
   EXPECT_EQ(warm_surrogate.surrogate_fidelity->energy_rmse,
             cold_surrogate.surrogate_fidelity->energy_rmse);
   expect_identical_fronts(cold_surrogate, warm_surrogate);
+
+  // A restore adopts the snapshot's ensembles without filling the predictor
+  // pool: another session with the same training knobs still fits.
+  mapping_request other = surrogate;
+  other.ranking_seed ^= 1;
+  EXPECT_TRUE(revived.map(other).trained_surrogate);
 }
 
 TEST_F(snapshot_fixture, lru_eviction_spills_and_a_later_request_warm_starts) {

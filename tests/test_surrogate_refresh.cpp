@@ -3,19 +3,21 @@
 // fidelity), epoch-tagged engine caches (no stale predictions, in-flight
 // batches finish on the old model), and the serving integration
 // (refresh_stats in reports, default-off back-compat, end-to-end
-// promotion, refresh-note round-trip).
+// promotion that stays out of the predictor pool, refresh-note round-trip).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/evaluation_engine.h"
 #include "core/serialization.h"
 #include "nn/models.h"
 #include "serving/mapping_service.h"
+#include "serving/session_snapshot.h"
 #include "soc/platform.h"
 #include "surrogate/dataset.h"
 #include "surrogate/refresh.h"
@@ -396,6 +398,56 @@ TEST_F(serving_fixture, drifted_session_promotes_and_keeps_serving) {
   EXPECT_FALSE(after.trained_surrogate);
   ASSERT_FALSE(after.front.empty());
   EXPECT_TRUE(after.refresh.has_value());
+}
+
+/// The session's fitted ensembles (with their knobs and fidelity) as
+/// snapshot text, stripped of everything request-dependent.
+std::string ensembles_of(serving::mapping_session& session) {
+  serving::session_snapshot snap = session.snapshot();
+  snap.session_key.clear();
+  snap.analytic_entries.clear();
+  snap.refresh.reset();
+  if (snap.surrogate) {
+    snap.surrogate->entries.clear();
+    snap.surrogate->predictor_epoch = 0;
+  }
+  return serving::to_text(snap);
+}
+
+TEST_F(serving_fixture, promotion_stays_in_its_session_and_never_reaches_the_pool) {
+  serving::service_options opt;
+  opt.engine.threads = 1;
+  opt.refresh.enabled = true;
+  opt.refresh.synchronous = true;
+  opt.refresh.min_new_samples = 300;
+  opt.refresh.promotion_margin = 0.0;
+  serving::mapping_service service{opt};
+  service.register_network(net);
+  service.register_platform(plat);
+
+  const serving::mapping_request first = tiny_request(true, 5);
+  EXPECT_TRUE(service.map(first).trained_surrogate);
+  const std::string original = ensembles_of(*service.session_for(first));
+  serving::mapping_report last;
+  for (std::uint64_t seed = 50; seed < 58; ++seed) {
+    last = service.map(tiny_request(false, seed));
+    if (last.refresh->promotions > 0) break;
+  }
+  ASSERT_GE(last.refresh->promotions, 1u);
+  EXPECT_NE(ensembles_of(*service.session_for(first)), original);
+
+  // A new session with the same training knobs adopts the pooled fit: the
+  // original ensembles at epoch 0, not the other session's promotion. Its
+  // engine is taken directly so no analytic traffic can refresh it.
+  serving::mapping_request other = first;
+  other.ranking_seed = 77;
+  const std::shared_ptr<serving::mapping_session> fresh = service.session_for(other);
+  bool fitted = true;
+  (void)fresh->surrogate_engine(other.bench, other.gbt, &fitted);
+  EXPECT_FALSE(fitted);
+  ASSERT_TRUE(fresh->refresh_stats().has_value());
+  EXPECT_EQ(fresh->refresh_stats()->epoch, 0u);
+  EXPECT_EQ(ensembles_of(*fresh), original);
 }
 
 TEST_F(serving_fixture, refresh_note_round_trips_through_report_summary) {
