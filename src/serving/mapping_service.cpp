@@ -391,20 +391,22 @@ std::size_t mapping_service::sessions_evicted() const {
   return sessions_evicted_;
 }
 
+std::vector<std::shared_ptr<mapping_session>> mapping_service::live_sessions() const {
+  const std::lock_guard<std::mutex> lock{mu_};
+  std::vector<std::shared_ptr<mapping_session>> live;
+  live.reserve(sessions_.size());
+  for (const auto& [key, entry] : sessions_) live.push_back(entry.session);
+  return live;
+}
+
 std::size_t mapping_service::spill_sessions() {
   if (opt_.snapshot.directory.empty()) return 0;
-  // Copy the live set out, then snapshot outside `mu_`: a snapshot drains
-  // the session's refresh worker, and the registry must stay responsive to
-  // concurrent traffic while that happens.
-  std::vector<std::shared_ptr<mapping_session>> live;
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    live.reserve(sessions_.size());
-    for (const auto& [key, entry] : sessions_) live.push_back(entry.session);
-  }
+  // Snapshot outside `mu_`: a snapshot drains the session's refresh worker,
+  // and the registry must stay responsive to concurrent traffic while that
+  // happens.
   std::size_t spilled = 0;
   std::size_t failed = 0;
-  for (const auto& session : live) {
+  for (const auto& session : live_sessions()) {
     try {
       save_snapshot(opt_.snapshot.directory + "/" + snapshot_filename(session->key()),
                     session->snapshot());
@@ -440,11 +442,12 @@ std::size_t mapping_service::restore_failures() const {
 }
 
 core::engine_stats mapping_service::engine_totals() const {
-  const std::lock_guard<std::mutex> lock{mu_};
+  // Read the counters outside `mu_`: a session's surrogate counters wait
+  // while its surrogate is fitted, and that must not stall the registry.
   core::engine_stats total;
-  for (const auto& [key, entry] : sessions_) {
+  for (const auto& session : live_sessions()) {
     for (const core::engine_stats s :
-         {entry.session->analytic_cache_stats(), entry.session->surrogate_cache_stats()}) {
+         {session->analytic_cache_stats(), session->surrogate_cache_stats()}) {
       total.hits += s.hits;
       total.misses += s.misses;
       total.dedup += s.dedup;

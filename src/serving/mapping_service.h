@@ -216,6 +216,10 @@ class mapping_service {
   /// Summed engine counters (analytic + surrogate) across every live
   /// session — the service-level cache dashboard; `cache_bytes` sums into
   /// the service's total memo-table footprint.
+  ///
+  /// Blocking: waits for any session whose surrogate is still being fitted
+  /// (or adopted from an in-flight pooled fit), but reads the counters
+  /// outside the registry lock, so other calls proceed meanwhile.
   [[nodiscard]] core::engine_stats engine_totals() const;
 
  private:
@@ -234,6 +238,9 @@ class mapping_service {
   /// Best-effort warm-start of a freshly created session from the snapshot
   /// directory. Caller must hold `mu_`.
   void maybe_restore_locked(const std::string& key, mapping_session& session);
+  /// The registered sessions, copied out under `mu_` so callers can work
+  /// on them after releasing it.
+  [[nodiscard]] std::vector<std::shared_ptr<mapping_session>> live_sessions() const;
   /// Lazily constructs the scheduler on first submit(). Caller must NOT
   /// hold `mu_`.
   [[nodiscard]] request_scheduler& ensure_scheduler();

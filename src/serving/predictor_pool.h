@@ -74,7 +74,9 @@ struct predictor_pool_stats {
 class predictor_pool {
  public:
   /// Entries kept; the least recently acquired goes first. A default fit is
-  /// ~21k tree nodes per head pair, ~1.6 MB, so a full pool holds ~13 MB.
+  /// ~21k tree nodes per head pair, ~1.6 MB, and a predictor that has been
+  /// searched on also holds its row memo (`hw_predictor::memo_capacity`
+  /// rows, ~0.7 MB), so a full pool holds ~18 MB.
   static constexpr std::size_t capacity = 8;
 
   using fit_fn = std::function<pooled_fit(const nn::network&, const soc::platform&,

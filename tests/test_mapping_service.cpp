@@ -1,9 +1,9 @@
 // Serving front-end tests: session registry keying, warm-cache reuse with
 // bit-identical reports, cross-phase cache continuity, one-shot surrogate
 // training, the service's predictor pool (single flight, failed fits,
-// LRU bound, snapshot keys), async submission, concurrency (shared session
-// vs isolated sessions), report-summary round-trips and the scheduler row's
-// two arities.
+// LRU bound, snapshot keys, a shared row memo), async submission,
+// concurrency (shared session vs isolated sessions, a stats poll during a
+// fit), report-summary round-trips and the scheduler row's two arities.
 
 #include <gtest/gtest.h>
 
@@ -652,6 +652,68 @@ TEST(predictor_pool_service, pooled_session_snapshot_equals_a_fitting_sessions) 
   EXPECT_EQ(core::to_text(adopted.summary()), core::to_text(fitted.summary()));
   EXPECT_EQ(serving::to_text(pooled.session_for(second)->snapshot()),
             serving::to_text(fitting.session_for(second)->snapshot()));
+}
+
+// A pooled predictor carries one row memo for every session that adopts
+// it. A session that searches after another warmed it (same GA seed, so the
+// same first population and many of the same rows), with two engine workers
+// reading the warm memo at once, must report exactly what a fresh service
+// reports, whose predictor starts with a cold memo.
+TEST(predictor_pool_service, a_warm_row_memo_leaves_the_report_unchanged) {
+  const nn::network cnn = nn::build_simple_cnn();
+  const soc::platform plat = soc::agx_xavier();
+  mapping_request warmup = surrogate_request(cnn.name, 1);
+  warmup.ga.generations = 12;
+  const mapping_request second = surrogate_request(cnn.name, 2);
+
+  mapping_service warm{small_service()};
+  warm.register_network(cnn);
+  warm.register_platform(plat);
+  EXPECT_TRUE(warm.map(warmup).trained_surrogate);
+  const mapping_report adopted = warm.map(second);
+  EXPECT_FALSE(adopted.trained_surrogate);
+
+  mapping_service cold{small_service()};
+  cold.register_network(cnn);
+  cold.register_platform(plat);
+  const mapping_report fresh = cold.map(second);
+  EXPECT_TRUE(fresh.trained_surrogate);
+
+  expect_same_front(adopted, fresh);
+  EXPECT_EQ(core::to_text(adopted.summary()), core::to_text(fresh.summary()));
+}
+
+// A stats poll must not stall the registry. engine_totals() waits for a
+// session whose surrogate is still being fitted, but not while holding the
+// registry lock, so another request's session lookup returns meanwhile.
+TEST(service_registry, engine_totals_during_a_fit_does_not_block_session_lookup) {
+  using namespace std::chrono_literals;
+  const nn::network cnn = nn::build_simple_cnn();
+  mapping_service service{small_service()};
+  service.register_network(cnn);
+  service.register_platform(soc::agx_xavier());
+  const mapping_request analytic = tiny_request(cnn.name);
+  const std::shared_ptr<serving::mapping_session> registered = service.session_for(analytic);
+
+  mapping_request slow = surrogate_request(cnn.name, 7);  // a session of its own
+  slow.bench.samples = 6000;                                // a fit that takes a while
+  slow.gbt.n_trees = 150;
+  auto fitting = std::async(std::launch::async, [&] { return service.map(slow); });
+  while (service.session_count() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(100ms);  // the fit now holds its session's surrogate lock
+  auto totals = std::async(std::launch::async, [&] { return service.engine_totals(); });
+  std::this_thread::sleep_for(100ms);  // ...and the poll waits on it
+  auto lookup = std::async(std::launch::async, [&] { return service.session_for(analytic); });
+  while (lookup.wait_for(1ms) != std::future_status::ready &&
+         totals.wait_for(0s) != std::future_status::ready) {
+  }
+  EXPECT_EQ(lookup.wait_for(0s), std::future_status::ready)
+      << "session_for waited for the poll, which waited for the fit";
+  EXPECT_NE(totals.wait_for(0s), std::future_status::ready)
+      << "the fit ended before the lookup; it is too short to test this";
+  EXPECT_EQ(lookup.get(), registered);
+  (void)totals.get();
+  EXPECT_TRUE(fitting.get().trained_surrogate);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 // Features, dataset generation, regression trees, GBT ensemble (including
 // its flat node table, differential-tested against the per-tree sum), the
-// deployed hardware predictor and the evaluator's batched cost grid.
+// deployed hardware predictor (and its row memo, differential-tested
+// against the kernel) and the evaluator's batched cost grid.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/evaluator.h"
 #include "core/search_space.h"
@@ -697,11 +702,162 @@ TEST(predictor, batch_rejects_mismatched_sizes) {
   const std::vector<double> rows(2 * feature_count, 1.0);
   std::vector<double> lat(2);
   std::vector<double> en(2);
-  pred.predict(rows, lat, en);
   std::vector<double> short_en(1);
+  // Checked before the memo is first used...
+  EXPECT_THROW(pred.predict(rows, lat, short_en), std::invalid_argument);
+  pred.predict(rows, lat, en);
+  // ...and after.
   EXPECT_THROW(pred.predict(rows, lat, short_en), std::invalid_argument);
   EXPECT_THROW(pred.predict(std::span<const double>{rows}.first(feature_count + 1), lat, en),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The row memo inside hw_predictor::predict: every result must carry the
+// kernel's bits for the exact row, whatever the memo holds.
+// ---------------------------------------------------------------------------
+
+struct memo_fixture : ::testing::Test {
+  nn::network vis = nn::build_visformer();
+  soc::platform plat = soc::agx_xavier();
+  dataset data = generate_benchmark({&vis}, plat, [] {
+    benchmark_options opt;
+    opt.samples = 300;
+    return opt;
+  }());
+  hw_predictor pred{data, [] {
+                      gbt_params p;
+                      p.n_trees = 20;
+                      return p;
+                    }()};
+
+  /// `n` distinct rows back to back: benchmark rows with every feature
+  /// jittered by up to 5%, so they spread over the trees' branches.
+  std::vector<double> jittered_rows(std::size_t n, std::uint64_t seed) const {
+    util::rng gen{seed};
+    std::vector<double> rows;
+    rows.reserve(n * feature_count);
+    for (std::size_t i = 0; i < n; ++i)
+      for (const double v : data.x[i % data.size()]) rows.push_back(v * gen.uniform(0.95, 1.05));
+    return rows;
+  }
+
+  /// Scores `rows` through the memo and checks each result's bits against
+  /// both heads' kernels on the same rows.
+  void expect_kernel_bits(std::span<const double> rows) const {
+    const std::size_t n = rows.size() / feature_count;
+    std::vector<double> lat(n), en(n), want_lat(n), want_en(n);
+    pred.predict(rows, lat, en);
+    pred.latency_model().predict(rows, feature_count, want_lat);
+    pred.energy_model().predict(rows, feature_count, want_en);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lat[k]), std::bit_cast<std::uint64_t>(want_lat[k]))
+          << "row " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(en[k]), std::bit_cast<std::uint64_t>(want_en[k]))
+          << "row " << k;
+    }
+  }
+};
+
+TEST_F(memo_fixture, repeats_in_a_batch_and_across_calls_carry_the_kernels_bits) {
+  const std::vector<double> fresh = jittered_rows(64, 1);
+  // Each row twice in one batch, the second copy in reverse order.
+  std::vector<double> batch = fresh;
+  for (std::size_t k = 64; k-- > 0;)
+    batch.insert(batch.end(), fresh.begin() + k * feature_count,
+                 fresh.begin() + (k + 1) * feature_count);
+  expect_kernel_bits(batch);  // cold: misses, then in-batch repeats
+  expect_kernel_bits(batch);  // warm: all served by the memo
+  // Half known, half new, interleaved.
+  const std::vector<double> other = jittered_rows(64, 2);
+  std::vector<double> mixed;
+  for (std::size_t k = 0; k < 64; ++k) {
+    const auto& src = k % 2 == 0 ? fresh : other;
+    mixed.insert(mixed.end(), src.begin() + k * feature_count,
+                 src.begin() + (k + 1) * feature_count);
+  }
+  expect_kernel_bits(mixed);
+  expect_kernel_bits(std::span<const double>{fresh}.first(feature_count));  // a single row
+}
+
+TEST_F(memo_fixture, rows_beyond_its_capacity_replace_entries_without_changing_a_bit) {
+  constexpr std::size_t n = 3 * hw_predictor::memo_capacity;
+  const std::vector<double> rows = jittered_rows(n, 3);
+  constexpr std::size_t batch = 57;  // a Visformer configuration's worth of cells
+  const auto chunk = [&](std::size_t first) {
+    const std::size_t count = std::min(batch, n - first);
+    return std::span<const double>{rows}.subspan(first * feature_count, count * feature_count);
+  };
+  for (std::size_t first = 0; first < n; first += batch) expect_kernel_bits(chunk(first));
+  // A second pass in shuffled chunk order meets the survivors of
+  // replacement beside rows that were evicted.
+  std::vector<std::size_t> order;
+  for (std::size_t first = 0; first < n; first += batch) order.push_back(first);
+  util::rng gen{4};
+  gen.shuffle(order);
+  for (const std::size_t first : order) expect_kernel_bits(chunk(first));
+}
+
+TEST_F(memo_fixture, signed_zeros_and_nan_payloads_are_distinct_rows) {
+  // Rows that differ only in the sign of a zero or in a NaN's payload are
+  // distinct keys. The kernel walks them alike (-0.0 <= t iff +0.0 <= t;
+  // every NaN goes right), so each must get the same bits it would alone.
+  const std::vector<double> base = jittered_rows(1, 5);
+  const double payloads[] = {0.0, -0.0, std::bit_cast<double>(0x7ff8000000000001ULL),
+                             std::bit_cast<double>(0x7ff8000000000002ULL),
+                             std::bit_cast<double>(0xfff8000000000000ULL)};
+  std::vector<double> rows;
+  for (const std::size_t feature : {std::size_t{4}, std::size_t{13}})
+    for (const double v : payloads) {
+      std::vector<double> row = base;
+      row[feature] = v;
+      rows.insert(rows.end(), row.begin(), row.end());
+    }
+  expect_kernel_bits(rows);
+  std::vector<double> reversed;
+  for (std::size_t k = rows.size() / feature_count; k-- > 0;)
+    reversed.insert(reversed.end(), rows.begin() + k * feature_count,
+                    rows.begin() + (k + 1) * feature_count);
+  expect_kernel_bits(reversed);
+  expect_kernel_bits(rows);
+}
+
+// Engine workers share one const predictor: overlapping batches scored from
+// four threads (under TSan in CI) must each get the kernel's bits.
+TEST_F(memo_fixture, threads_sharing_one_predictor_get_the_kernels_bits) {
+  constexpr std::size_t pool = 2 * hw_predictor::memo_capacity;
+  const std::vector<double> rows = jittered_rows(pool, 6);
+  std::vector<double> want_lat(pool), want_en(pool);
+  pred.latency_model().predict(rows, feature_count, want_lat);
+  pred.energy_model().predict(rows, feature_count, want_en);
+
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      // Each thread draws from a window that overlaps its neighbours'.
+      util::rng gen{100 + t};
+      const auto lo = static_cast<std::int64_t>(t * pool / 8);
+      const auto hi = static_cast<std::int64_t>(lo + pool / 2 - 1);
+      std::vector<std::size_t> picks(57);
+      std::vector<double> batch, lat(picks.size()), en(picks.size());
+      for (int b = 0; b < 150; ++b) {
+        batch.clear();
+        for (std::size_t& i : picks) {
+          i = static_cast<std::size_t>(gen.uniform_int(lo, hi));
+          batch.insert(batch.end(), rows.begin() + i * feature_count,
+                       rows.begin() + (i + 1) * feature_count);
+        }
+        pred.predict(batch, lat, en);
+        for (std::size_t k = 0; k < picks.size(); ++k)
+          if (std::bit_cast<std::uint64_t>(lat[k]) !=
+                  std::bit_cast<std::uint64_t>(want_lat[picks[k]]) ||
+              std::bit_cast<std::uint64_t>(en[k]) != std::bit_cast<std::uint64_t>(want_en[picks[k]]))
+            wrong.fetch_add(1);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 std::string eval_text(const core::evaluation& e) {
