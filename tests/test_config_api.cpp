@@ -195,11 +195,11 @@ void expect_config_error(const std::string& text, const std::string& path_substr
   }
 }
 
-/// Rejected at exactly `path` with exactly `message`.
+/// Rejected at exactly `path` with exactly `message`, read over `base`.
 void expect_error_at(const std::string& text, const std::string& path,
-                     const std::string& message) {
+                     const std::string& message, service_config base = {}) {
   try {
-    (void)serving::parse_config(text);
+    serving::from_json(json::parse(text), base);
     FAIL() << "accepted config with bad key " << path;
   } catch (const config_error& e) {
     EXPECT_EQ(e.path(), path);
@@ -245,6 +245,107 @@ TEST(config_errors, out_of_range_values_are_rejected_by_path) {
 
 TEST(config_errors, islands_must_fit_the_population) {
   expect_config_error(R"({"ga": {"population": 8, "island": {"islands": 4}}})", "ga.island.islands");
+}
+
+// Every range rule and every rule across members, one fault per document:
+// each fails at its key's exact path with its exact message.
+TEST(config_errors, every_rule_fails_at_its_key) {
+  const std::string at_least_1 = "must be at least 1";
+  const std::string open = "must be strictly between 0 and 1";
+  const std::string probability = "must be between 0 and 1";
+  const std::string positive = "must be greater than 0";
+  const std::string unit = "must be in (0, 1]";
+  const std::string finite = "must be finite and non-negative";
+  const struct {
+    std::string text, path, message;
+  } cases[] = {
+      {R"({"workers": 0})", "workers", at_least_1},
+      {R"({"engine": {"shards": 0}})", "engine.shards", at_least_1},
+      {R"({"scheduler": {"default_weight": 0}})", "scheduler.default_weight", at_least_1},
+      {R"({"scheduler": {"weights": {"lane": 0}}})", "scheduler.weights.lane", at_least_1},
+      {R"({"refresh": {"log_capacity": 0}})", "refresh.log_capacity", at_least_1},
+      {R"({"refresh": {"min_new_samples": 0}})", "refresh.min_new_samples", at_least_1},
+      {R"({"refresh": {"holdout_fraction": 0}})", "refresh.holdout_fraction", open},
+      {R"({"refresh": {"holdout_fraction": 1}})", "refresh.holdout_fraction", open},
+      {R"({"refresh": {"promotion_margin": -0.5}})", "refresh.promotion_margin",
+       "must not be negative"},
+      {R"({"snapshot": {"spill_on_evict": true}})", "snapshot.spill_on_evict",
+       R"(requires a snapshot directory (set "directory"))"},
+      {R"({"group": {"shards": 0}})", "group.shards", at_least_1},
+      {R"({"group": {"virtual_nodes": 0}})", "group.virtual_nodes", at_least_1},
+      {R"({"ga": {"generations": 0}})", "ga.generations", at_least_1},
+      {R"({"ga": {"population": 2}})", "ga.population", "must be at least 4"},
+      {R"({"ga": {"elite_fraction": 0}})", "ga.elite_fraction", open},
+      {R"({"ga": {"elite_fraction": 1.5}})", "ga.elite_fraction", open},
+      {R"({"ga": {"crossover_prob": -0.1}})", "ga.crossover_prob", probability},
+      {R"({"ga": {"ratio_mutation_prob": 1.5}})", "ga.ratio_mutation_prob", probability},
+      {R"({"ga": {"forward_mutation_prob": 2}})", "ga.forward_mutation_prob", probability},
+      {R"({"ga": {"mapping_swap_prob": -1}})", "ga.mapping_swap_prob", probability},
+      {R"({"ga": {"dvfs_mutation_prob": 1.01}})", "ga.dvfs_mutation_prob", probability},
+      {R"({"ga": {"island": {"polish_fraction": 1.5}}})", "ga.island.polish_fraction",
+       probability},
+      {R"({"ga": {"population": 8, "island": {"islands": 4}}})", "ga.island.islands",
+       "would leave an island under 4 members (islands * 4 must not exceed population)"},
+      {R"({"ga": {"portfolio": {"islands": [{}, {}]}}})", "ga.portfolio.islands",
+       "has more assignments (2) than ga.island.islands (1)"},
+      {R"({"ga": {"portfolio": {"sa": {"initial_temperature": 0}}}})",
+       "ga.portfolio.sa.initial_temperature", positive},
+      {R"({"ga": {"portfolio": {"sa": {"cooling": 0}}}})", "ga.portfolio.sa.cooling", unit},
+      {R"({"ga": {"portfolio": {"sa": {"cooling": 1.5}}}})", "ga.portfolio.sa.cooling", unit},
+      {R"({"ga": {"portfolio": {"prefilter": {"quantile": 0}}}})",
+       "ga.portfolio.prefilter.quantile", unit},
+      {R"({"ga": {"portfolio": {"prefilter": {"quantile": 1.5}}}})",
+       "ga.portfolio.prefilter.quantile", unit},
+      {R"({"scenario": {"residents": [{"name": ""}]}})", "scenario.residents[0].name",
+       "must not be empty"},
+      {R"({"scenario": {"residents": [{"name": "a"}, {"name": "a"}]}})",
+       "scenario.residents[1].name", R"(duplicate resident name "a")"},
+      {R"({"scenario": {"residents": [{"name": "a", "interconnect_gbps": -1}]}})",
+       "scenario.residents[0].interconnect_gbps", finite},
+      {R"({"scenario": {"residents": [{"name": "a", "dram_gbps": -1}]}})",
+       "scenario.residents[0].dram_gbps", finite},
+      {R"({"scenario": {"residents": [{"name": "a", "power_w": -1}]}})",
+       "scenario.residents[0].power_w", finite},
+      {R"({"scenario": {"residents": [{"name": "a", "shared_memory_bytes": -1}]}})",
+       "scenario.residents[0].shared_memory_bytes", finite},
+      {R"({"scenario": {"interconnect_alpha": -0.5}})", "scenario.interconnect_alpha", finite},
+      {R"({"scenario": {"dram_alpha": -1}})", "scenario.dram_alpha", finite},
+      {R"({"scenario": {"dram_energy_beta": -1}})", "scenario.dram_energy_beta", finite},
+      {R"({"scenario": {"thermal": {"r_thermal_c_per_w": 0}}})",
+       "scenario.thermal.r_thermal_c_per_w", positive},
+      {R"({"scenario": {"thermal": {"tau_s": 0}}})", "scenario.thermal.tau_s", positive},
+      {R"({"scenario": {"thermal": {"throttle_c": 10, "ambient_c": 50}}})",
+       "scenario.thermal.throttle_c", "must exceed ambient_c"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    expect_error_at(c.text, c.path, c.message);
+  }
+}
+
+// A block the document leaves out is checked as if it were read from {}:
+// a bad value set in code before from_json fails as a bad value read would.
+TEST(config_errors, omitted_blocks_are_still_checked) {
+  service_config small;
+  small.ga.population = 2;
+  expect_error_at("{}", "ga.population", "must be at least 4", small);
+  expect_error_at(R"({"ga": {"generations": 5}})", "ga.population", "must be at least 4", small);
+
+  service_config thermal;
+  thermal.scenario.thermal = soc::thermal_model{};
+  thermal.scenario.thermal->tau_s = 0;
+  expect_error_at("{}", "scenario.thermal.tau_s", "must be greater than 0", thermal);
+
+  service_config resident;
+  resident.scenario.residents.emplace_back();
+  resident.scenario.residents[0].name = "neighbor";
+  resident.scenario.residents[0].dram_gbps = -1;
+  expect_error_at("{}", "scenario.residents[0].dram_gbps", "must be finite and non-negative",
+                  resident);
+
+  service_config weights;
+  weights.service.scheduler.weights = {{"lane", 0}};
+  expect_error_at("{}", "scheduler.weights.lane", "must be at least 1", weights);
 }
 
 TEST(config_errors, scenario_block_is_validated_by_path) {
