@@ -93,9 +93,11 @@ int main() {
       core::ga_options ga;
       ga.generations = s.generations;
       ga.population = s.population;
-      ga.threads = s.threads;
       ga.selection = mode;
-      const auto res = core::evolve(space, ev, ga);
+      core::engine_options eopt;
+      eopt.threads = s.threads;
+      core::evaluation_engine engine{ev, eopt};
+      const auto res = core::evolve(space, engine, ga);
       double best_acc = 0.0;
       double min_e = 1e300;
       for (const std::size_t i : res.pareto) {

@@ -66,14 +66,24 @@ void bm_full_evaluation_analytic(benchmark::State& state) {
 }
 BENCHMARK(bm_full_evaluation_analytic);
 
+/// Each iteration scores a configuration this run's predictor has never
+/// scored: its row memo serves only the rows those configurations share,
+/// as in a cold search, not a repeat of the last iteration.
 void bm_full_evaluation_surrogate(benchmark::State& state) {
   auto& f = fx();
   static const surrogate::dataset ds = surrogate::generate_benchmark({&f.net}, f.plat, {});
-  static const surrogate::hw_predictor pred{ds};
+  static const surrogate::hw_predictor fitted{ds};
+  const surrogate::hw_predictor pred{fitted.latency_model(), fitted.energy_model()};
   core::evaluator_options opt;
   opt.predictor = &pred;
   const core::evaluator ev{f.net, f.plat, opt};
-  for (auto _ : state) benchmark::DoNotOptimize(ev.evaluate(f.cfg));
+  const core::search_space space{f.net, f.plat};
+  util::rng gen{29};
+  std::vector<core::configuration> configs;
+  for (benchmark::IterationCount i = 0; i < state.max_iterations; ++i)
+    configs.push_back(space.decode(space.random(gen)));
+  std::size_t next = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(ev.evaluate(configs[next++]));
 }
 BENCHMARK(bm_full_evaluation_surrogate);
 
@@ -95,8 +105,12 @@ void bm_ga_generation(benchmark::State& state) {
   core::ga_options ga;
   ga.generations = 1;
   ga.population = static_cast<std::size_t>(state.range(0));
-  ga.threads = 12;
-  for (auto _ : state) benchmark::DoNotOptimize(core::evolve(space, ev, ga));
+  core::engine_options eopt;
+  eopt.threads = 12;
+  for (auto _ : state) {
+    core::evaluation_engine engine{ev, eopt};
+    benchmark::DoNotOptimize(core::evolve(space, engine, ga));
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(bm_ga_generation)->Arg(60)->Unit(benchmark::kMillisecond);
@@ -117,7 +131,8 @@ BENCHMARK(bm_importance_profile);
 /// One cold session's training cost: a default-parameter `hw_predictor`
 /// (two 120-tree GBT fits) over a 4000-row benchmark dataset, in ms. Then
 /// what that predictor costs per surrogate-backed `evaluator::evaluate`
-/// over a fixed seeded set of decoded configurations, in us.
+/// over a fixed seeded set of decoded configurations it has never scored,
+/// in us: its row memo serves only the rows those configurations share.
 void emit_surrogate_costs(bench::json_reporter& json) {
   auto& f = fx();
   surrogate::benchmark_options bopt;
@@ -137,15 +152,12 @@ void emit_surrogate_costs(bench::json_reporter& json) {
   const core::search_space space{f.net, f.plat};
   util::rng gen{29};
   std::vector<core::configuration> configs;
-  for (int i = 0; i < 64; ++i) configs.push_back(space.decode(space.random(gen)));
-  for (const core::configuration& c : configs) benchmark::DoNotOptimize(ev.evaluate(c));
-  constexpr int kReps = 5;
+  for (int i = 0; i < 320; ++i) configs.push_back(space.decode(space.random(gen)));
   const auto t1 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kReps; ++r)
-    for (const core::configuration& c : configs) benchmark::DoNotOptimize(ev.evaluate(c));
+  for (const core::configuration& c : configs) benchmark::DoNotOptimize(ev.evaluate(c));
   const double eval_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t1).count() /
-      static_cast<double>(kReps * configs.size());
+      static_cast<double>(configs.size());
   std::printf("surrogate-backed evaluate (%zu configurations): %.1f us\n", configs.size(),
               eval_us);
   json.metric("surrogate_eval_us", eval_us);

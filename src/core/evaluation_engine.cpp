@@ -228,12 +228,6 @@ void evaluation_engine::abandon_owner(std::size_t key, const configuration& conf
 
 evaluation evaluation_engine::evaluate(const configuration& config) {
   const std::shared_ptr<const epoch_state> st = current();
-  if (!opt_.memoize) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    const evaluation fresh = st->eval->evaluate(config);
-    fire_tap(config, fresh);
-    return fresh;
-  }
   const std::size_t key = config.hash();
   claim c = claim_slot(key, config, st->epoch);
   switch (c.outcome) {
@@ -326,25 +320,11 @@ void evaluation_engine::finish_plan(batch_plan& plan) {
 
 std::vector<evaluation> evaluation_engine::evaluate_batch(
     std::span<const configuration> configs) {
-  const std::size_t n = configs.size();
-  if (!opt_.memoize) {
-    const std::shared_ptr<const epoch_state> st = current();
-    std::vector<evaluation> out(n);
-    misses_.fetch_add(n, std::memory_order_relaxed);
-    if (pool_ && n > 1) {
-      pool_->parallel_for(n, [&](std::size_t i) { out[i] = st->eval->evaluate(configs[i]); });
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = st->eval->evaluate(configs[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i) fire_tap(configs[i], out[i]);
-    return out;
-  }
-
   batch_plan plan;
   plan.configs = configs;  // view of the caller's span: no copy on this path
   plan_batch(plan);
   if (pool_ && plan.owners.size() > 1) {
-    // Per-batch countdown, NOT parallel_for: its wait_idle() is a
+    // Per-batch countdown, NOT the pool's wait_idle(): that is a
     // whole-pool barrier, and other batches (async island generations,
     // racing requests) may keep this shared pool busy indefinitely. Only
     // this batch's own tasks are awaited. Capturing stack state is safe:
@@ -370,20 +350,6 @@ std::vector<evaluation> evaluation_engine::evaluate_batch(
 
 std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
     std::vector<configuration> configs) {
-  if (!opt_.memoize) {
-    // Pass-through mode: evaluate inline; the async shape is kept only so
-    // callers need not special-case it (exceptions still land in the
-    // future, per the contract).
-    std::promise<std::vector<evaluation>> done;
-    std::future<std::vector<evaluation>> fut = done.get_future();
-    try {
-      done.set_value(evaluate_batch(configs));
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return fut;
-  }
-
   // The plan (probe + dedup + in-flight registration + all counter bumps)
   // runs synchronously here; only the owned evaluator runs are enqueued.
   // The batch owns its configurations: moving the plan keeps the vector's

@@ -47,10 +47,6 @@ struct engine_options {
   std::size_t shards = 16;   ///< mutex stripes of the memo table
   std::size_t capacity = 0;  ///< max cached evaluations, evicted LRU; 0 = unbounded
   std::size_t threads = 1;   ///< batch-evaluation workers (1 = inline)
-  /// false turns the engine into a pass-through (every call runs the
-  /// evaluator, and in-flight dedup is disabled too); kept for A/B benches
-  /// and bit-identity tests.
-  bool memoize = true;
 };
 
 /// Monotonic counters. One batch element is exactly one of: a `hit` (served

@@ -54,7 +54,6 @@ void validate_options(const ga_options& opt, std::size_t K, const candidate_pref
 ga_result evolve(const search_space& space, const evaluator& eval, const ga_options& opt,
                  candidate_prefilter* prefilter) {
   engine_options eopt;
-  eopt.threads = opt.threads;
   // GA hits come from the previous generation's survivors, so a few
   // populations' worth of entries captures nearly all reuse; bounding the
   // cache keeps long large-population runs at constant memory.

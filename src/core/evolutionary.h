@@ -151,7 +151,6 @@ struct ga_options {
   island_options island;        ///< sharded-population search (1 island = off)
   portfolio_options portfolio;  ///< per-island algorithms + pre-filtering
   std::uint64_t seed = 1;
-  std::size_t threads = 12;  ///< evaluation workers (paper: 12-GPU cluster)
 };
 
 /// Convergence trace entry; with K islands each entry aggregates the K
@@ -256,8 +255,11 @@ class candidate_prefilter {
                                const ga_options& opt = {},
                                candidate_prefilter* prefilter = nullptr);
 
-/// Convenience overload: wraps `eval` in a fresh memoizing engine sized by
-/// `opt.threads` and runs the GA on it.
+/// Convenience overload: wraps `eval` in a fresh memoizing engine that
+/// evaluates inline on the calling thread and holds at most
+/// max(4096, 8 * population) entries, and runs the GA on it. The result is
+/// the one any engine gives (see Determinism above); callers that want
+/// parallel evaluation pass an engine with more threads.
 [[nodiscard]] ga_result evolve(const search_space& space, const evaluator& eval,
                                const ga_options& opt = {},
                                candidate_prefilter* prefilter = nullptr);

@@ -7,8 +7,8 @@ namespace mapcq::serving {
 
 std::string request_fingerprint(const mapping_request& req) {
   // Everything that can change the produced report, spelled out field by
-  // field (floats at full precision). `ga.threads` is excluded (results are
-  // documented thread-count independent) as are priority/deadline.
+  // field (floats at full precision). Scheduling knobs (priority, deadline)
+  // are excluded.
   std::ostringstream os;
   os.precision(17);
   const core::ga_options& g = req.ga;

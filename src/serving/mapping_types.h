@@ -39,10 +39,9 @@ struct mapping_request {
   /// selects the island-model search (`{islands, migration_interval,
   /// migrants}`): the population is sharded across K islands that evolve
   /// concurrently against the session engine — K = 1 is the classic GA,
-  /// bit-identical at equal seeds. Note `ga.threads` does not apply here:
-  /// evaluation parallelism belongs to the session engine, fixed by
-  /// `service_options::engine.threads` at service construction (the knob
-  /// only drives the engine-less evolve() overload).
+  /// bit-identical at equal seeds. Evaluation parallelism belongs to the
+  /// session engine, fixed by `service_options::engine.threads` at service
+  /// construction.
   core::ga_options ga;
   /// Evaluation knobs; together with (network, platform, ranking_seed,
   /// ratio_levels) these key the session. `eval.predictor` must stay null --
@@ -83,10 +82,9 @@ struct mapping_request {
 /// over every `mapping_request` field that can change the produced
 /// `mapping_report` (network/platform names, GA knobs incl. islands and
 /// seed, evaluator options, surrogate training knobs, orientation, slacks,
-/// ranking seed). Scheduling-only knobs (`priority`, `deadline`) and
-/// `ga.threads` (documented not to affect results) are excluded. Two
-/// submits with equal fingerprints while one is queued or in flight share
-/// one execution and one report.
+/// ranking seed). Scheduling-only knobs (`priority`, `deadline`) are
+/// excluded. Two submits with equal fingerprints while one is queued or in
+/// flight share one execution and one report.
 ///
 /// Maintenance invariant: every new semantic `mapping_request` field must
 /// be added here, or identical-looking requests with different behavior

@@ -46,22 +46,83 @@ constexpr std::pair<const char*, core::island_orientation> orientation_names[] =
     {"energy", core::island_orientation::energy},
 };
 
+// ------------------------------------------------------------- range rules --
+// The constraints the engines enforce at construction, each written once.
+// A numeric member's rule ends its field-list line; a rule that relates
+// several members of one struct sits in that struct's check() below.
+
+/// A range rule on one numeric member: the reader fails at the member's
+/// path with `message` unless `ok` accepts its value.
+struct rule {
+  bool (*ok)(double);
+  const char* message;
+};
+
+constexpr rule at_least_1{[](double x) { return x >= 1.0; }, "must be at least 1"};
+constexpr rule at_least_4{[](double x) { return x >= 4.0; }, "must be at least 4"};
+constexpr rule open_fraction{[](double x) { return x > 0.0 && x < 1.0; },
+                             "must be strictly between 0 and 1"};
+constexpr rule probability{[](double x) { return x >= 0.0 && x <= 1.0; },
+                           "must be between 0 and 1"};
+constexpr rule positive{[](double x) { return x > 0.0; }, "must be greater than 0"};
+constexpr rule unit_interval{[](double x) { return x > 0.0 && x <= 1.0; }, "must be in (0, 1]"};
+constexpr rule not_negative{[](double x) { return !(x < 0.0); }, "must not be negative"};
+constexpr rule finite_not_negative{[](double x) { return std::isfinite(x) && x >= 0.0; },
+                                   "must be finite and non-negative"};
+
+/// Rules across members, run once a struct's own fields are read. `path`
+/// is the struct's own path.
+template <class T>
+void check(const T& /*o*/, const std::string& /*path*/) {}
+
+void check(const core::ga_options& o, const std::string& path) {
+  if (o.island.islands > 0 && o.island.islands * 4 > o.population)
+    fail(join(path, "island.islands"),
+         "would leave an island under 4 members (islands * 4 must not exceed population)");
+  const std::size_t islands = std::max<std::size_t>(1, o.island.islands);
+  if (o.portfolio.islands.size() > islands)
+    fail(join(path, "portfolio.islands"),
+         "has more assignments (" + std::to_string(o.portfolio.islands.size()) +
+             ") than ga.island.islands (" + std::to_string(islands) + ")");
+}
+
+void check(const snapshot_options& o, const std::string& path) {
+  if (o.spill_on_evict && o.directory.empty())
+    fail(join(path, "spill_on_evict"), "requires a snapshot directory (set \"directory\")");
+}
+
+void check(const soc::thermal_model& o, const std::string& path) {
+  if (!(o.throttle_c > o.ambient_c)) fail(join(path, "throttle_c"), "must exceed ambient_c");
+}
+
+void check(const soc::resident_load& o, const std::string& path) {
+  if (o.name.empty()) fail(join(path, "name"), "must not be empty");
+}
+
+void check(const soc::contention_context& o, const std::string& path) {
+  for (std::size_t i = 0; i < o.residents.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (o.residents[j].name == o.residents[i].name)
+        fail(join(path, "residents") + "[" + std::to_string(i) + "].name",
+             "duplicate resident name \"" + o.residents[i].name + "\"");
+}
+
 // ------------------------------------------------------------ field lists --
 // One list per JSON object: each key beside its member, in dump order. A
 // visitor is called as v(key, member), as v(key, member, names) for an enum
 // and its string table, or as v(key, member, noun) for an array or map,
-// whose wrong-kind error names its elements. `O` is the struct or its const
-// form, so the writer and the reader below walk the same list.
+// whose wrong-kind error names its elements; a trailing rule constrains a
+// numeric member (each value, for the weights map). `O` is the struct or
+// its const form, so the writer and the reader below walk the same list.
 
 template <class O, class T>
 concept of = std::same_as<std::remove_const_t<O>, T>;
 
 template <class V, of<core::engine_options> O>
 void fields(V& v, O& o) {
-  v("shards", o.shards);
+  v("shards", o.shards, at_least_1);
   v("capacity", o.capacity);
   v("threads", o.threads);
-  v("memoize", o.memoize);
 }
 
 template <class V, of<core::island_options> O>
@@ -69,7 +130,7 @@ void fields(V& v, O& o) {
   v("islands", o.islands);
   v("migration_interval", o.migration_interval);
   v("migrants", o.migrants);
-  v("polish_fraction", o.polish_fraction);
+  v("polish_fraction", o.polish_fraction, probability);
 }
 
 template <class V, of<core::island_assignment> O>
@@ -80,14 +141,14 @@ void fields(V& v, O& o) {
 
 template <class V, of<core::sa_options> O>
 void fields(V& v, O& o) {
-  v("initial_temperature", o.initial_temperature);
-  v("cooling", o.cooling);
+  v("initial_temperature", o.initial_temperature, positive);
+  v("cooling", o.cooling, unit_interval);
 }
 
 template <class V, of<core::prefilter_options> O>
 void fields(V& v, O& o) {
   v("enabled", o.enabled);
-  v("quantile", o.quantile);
+  v("quantile", o.quantile, unit_interval);
   v("warmup_generations", o.warmup_generations);
 }
 
@@ -100,20 +161,19 @@ void fields(V& v, O& o) {
 
 template <class V, of<core::ga_options> O>
 void fields(V& v, O& o) {
-  v("generations", o.generations);
-  v("population", o.population);
-  v("elite_fraction", o.elite_fraction);
-  v("crossover_prob", o.crossover_prob);
-  v("ratio_mutation_prob", o.ratio_mutation_prob);
-  v("forward_mutation_prob", o.forward_mutation_prob);
-  v("mapping_swap_prob", o.mapping_swap_prob);
-  v("dvfs_mutation_prob", o.dvfs_mutation_prob);
+  v("generations", o.generations, at_least_1);
+  v("population", o.population, at_least_4);
+  v("elite_fraction", o.elite_fraction, open_fraction);
+  v("crossover_prob", o.crossover_prob, probability);
+  v("ratio_mutation_prob", o.ratio_mutation_prob, probability);
+  v("forward_mutation_prob", o.forward_mutation_prob, probability);
+  v("mapping_swap_prob", o.mapping_swap_prob, probability);
+  v("dvfs_mutation_prob", o.dvfs_mutation_prob, probability);
   v("accuracy_elites", o.accuracy_elites);
   v("selection", o.selection, selection_names);
   v("island", o.island);
   v("portfolio", o.portfolio);
   v("seed", o.seed);
-  v("threads", o.threads);
 }
 
 template <class V, of<scheduler_options> O>
@@ -122,18 +182,18 @@ void fields(V& v, O& o) {
   v("max_inflight_per_session", o.max_inflight_per_session);
   v("policy", o.policy, policy_names);
   v("coalesce", o.coalesce);
-  v("default_weight", o.default_weight);
-  v("weights", o.weights, "session-key -> weight");
+  v("default_weight", o.default_weight, at_least_1);
+  v("weights", o.weights, "session-key -> weight", at_least_1);
 }
 
 template <class V, of<surrogate::refresh_options> O>
 void fields(V& v, O& o) {
   v("enabled", o.enabled);
-  v("log_capacity", o.log_capacity);
-  v("min_new_samples", o.min_new_samples);
+  v("log_capacity", o.log_capacity, at_least_1);
+  v("min_new_samples", o.min_new_samples, at_least_1);
   v("interval_ms", o.interval);
-  v("holdout_fraction", o.holdout_fraction);
-  v("promotion_margin", o.promotion_margin);
+  v("holdout_fraction", o.holdout_fraction, open_fraction);
+  v("promotion_margin", o.promotion_margin, not_negative);
   v("seed", o.seed);
   v("synchronous", o.synchronous);
 }
@@ -147,13 +207,13 @@ void fields(V& v, O& o) {
 
 template <class V, of<group_options> O>
 void fields(V& v, O& o) {
-  v("shards", o.shards);
-  v("virtual_nodes", o.virtual_nodes);
+  v("shards", o.shards, at_least_1);
+  v("virtual_nodes", o.virtual_nodes, at_least_1);
 }
 
 template <class V, of<service_options> O>
 void fields(V& v, O& o) {
-  v("workers", o.workers);
+  v("workers", o.workers, at_least_1);
   v("max_sessions", o.max_sessions);
   v("session_ttl_ms", o.session_ttl);
   v("engine", o.engine);
@@ -165,18 +225,18 @@ void fields(V& v, O& o) {
 template <class V, of<soc::thermal_model> O>
 void fields(V& v, O& o) {
   v("ambient_c", o.ambient_c);
-  v("r_thermal_c_per_w", o.r_thermal_c_per_w);
-  v("tau_s", o.tau_s);
+  v("r_thermal_c_per_w", o.r_thermal_c_per_w, positive);
+  v("tau_s", o.tau_s, positive);
   v("throttle_c", o.throttle_c);
 }
 
 template <class V, of<soc::resident_load> O>
 void fields(V& v, O& o) {
   v("name", o.name);
-  v("interconnect_gbps", o.interconnect_gbps);
-  v("dram_gbps", o.dram_gbps);
-  v("power_w", o.power_w);
-  v("shared_memory_bytes", o.shared_memory_bytes);
+  v("interconnect_gbps", o.interconnect_gbps, finite_not_negative);
+  v("dram_gbps", o.dram_gbps, finite_not_negative);
+  v("power_w", o.power_w, finite_not_negative);
+  v("shared_memory_bytes", o.shared_memory_bytes, finite_not_negative);
   v("reserved_units", o.reserved_units, "CU indices");
 }
 
@@ -185,9 +245,9 @@ void fields(V& v, O& o) {
   v("residents", o.residents, "resident loads");
   v("dvfs_cap", o.dvfs_cap, "DVFS levels");
   v("thermal", o.thermal);
-  v("interconnect_alpha", o.interconnect_alpha);
-  v("dram_alpha", o.dram_alpha);
-  v("dram_energy_beta", o.dram_energy_beta);
+  v("interconnect_alpha", o.interconnect_alpha, finite_not_negative);
+  v("dram_alpha", o.dram_alpha, finite_not_negative);
+  v("dram_energy_beta", o.dram_energy_beta, finite_not_negative);
 }
 
 /// The service's own keys sit at the top level, beside the other blocks.
@@ -211,6 +271,14 @@ class writer {
   template <class T, class... How>
   void operator()(const char* key, const T& member, const How&... how) {
     obj_.push_member(key, write(member, how...));
+  }
+  /// Rules constrain reading only.
+  template <class T>
+  void operator()(const char* key, const T& member, rule /*r*/) {
+    (*this)(key, member);
+  }
+  void operator()(const char* key, const weight_map& member, const char* noun, rule /*r*/) {
+    (*this)(key, member, noun);
   }
 
   template <block T>
@@ -258,6 +326,8 @@ class writer {
 
 /// Reads a field list from one JSON object. Tracks which members the list
 /// consumed, so finish() can reject the leftovers (typo'd keys) by path.
+/// Every rule is checked against the member's value, whether the document
+/// set it or not, so a struct read from a partial document is checked whole.
 class reader {
  public:
   reader(const value& v, std::string path) : path_(std::move(path)) {
@@ -275,6 +345,17 @@ class reader {
         return;
       }
     }
+    omitted(member, join(path_, key));
+  }
+  template <class T>
+  void operator()(std::string_view key, T& member, rule r) {
+    (*this)(key, member);
+    if (!r.ok(static_cast<double>(member))) fail(join(path_, key), r.message);
+  }
+  void operator()(std::string_view key, weight_map& member, const char* noun, rule r) {
+    (*this)(key, member, noun);
+    for (const auto& [lane, w] : member)
+      if (!r.ok(static_cast<double>(w))) fail(join(join(path_, key), lane), r.message);
   }
 
   /// Every key the field list did not name is a typo — reject by path.
@@ -288,6 +369,7 @@ class reader {
     reader r{v, path};
     fields(r, out);
     r.finish();
+    check(out, path);
   }
   static void read(const value& v, bool& out, const std::string& path) {
     if (!v.is_bool()) fail(path, "expected a boolean");
@@ -364,131 +446,29 @@ class reader {
     for (const auto& [key, w] : v.as_object()) read(w, out[key], join(path, key));
   }
 
+  /// A key the document omits keeps the member's value; a block is checked
+  /// as if it were read from {}.
+  template <block T>
+  static void omitted(T& x, const std::string& path) {
+    read(value{util::json::object{}}, x, path);
+  }
+  template <class T>
+  static void omitted(std::optional<T>& x, const std::string& path) {
+    if (x) omitted(*x, path);
+  }
+  template <class T>
+  static void omitted(std::vector<T>& items, const std::string& path) {
+    for (std::size_t i = 0; i < items.size(); ++i)
+      omitted(items[i], path + "[" + std::to_string(i) + "]");
+  }
+  template <class T>
+  static void omitted(T& /*scalar*/, const std::string& /*path*/) {}
+
  private:
   const util::json::object* obj_ = nullptr;
   std::string path_;
   std::vector<bool> consumed_;
 };
-
-// ------------------------------------------------------------- range rules --
-// The semantic constraints the engines enforce at construction, checked
-// once after a whole document is read, with paths rooted at `path`.
-
-void check_fraction_open(double v, const std::string& path) {
-  if (!(v > 0.0 && v < 1.0)) fail(path, "must be strictly between 0 and 1");
-}
-
-void check_probability(double v, const std::string& path) {
-  if (!(v >= 0.0 && v <= 1.0)) fail(path, "must be between 0 and 1");
-}
-
-void validate(const core::engine_options& opt, const std::string& path) {
-  if (opt.shards == 0) fail(join(path, "shards"), "must be at least 1");
-}
-
-void validate(const core::ga_options& opt, const std::string& path) {
-  if (opt.generations == 0) fail(join(path, "generations"), "must be at least 1");
-  if (opt.population < 4) fail(join(path, "population"), "must be at least 4");
-  check_fraction_open(opt.elite_fraction, join(path, "elite_fraction"));
-  check_probability(opt.crossover_prob, join(path, "crossover_prob"));
-  check_probability(opt.ratio_mutation_prob, join(path, "ratio_mutation_prob"));
-  check_probability(opt.forward_mutation_prob, join(path, "forward_mutation_prob"));
-  check_probability(opt.mapping_swap_prob, join(path, "mapping_swap_prob"));
-  check_probability(opt.dvfs_mutation_prob, join(path, "dvfs_mutation_prob"));
-  if (opt.island.islands > 0 && opt.island.islands * 4 > opt.population)
-    fail(join(path, "island.islands"),
-         "would leave an island under 4 members (islands * 4 must not exceed population)");
-  check_probability(opt.island.polish_fraction, join(path, "island.polish_fraction"));
-  const std::size_t islands = std::max<std::size_t>(1, opt.island.islands);
-  if (opt.portfolio.islands.size() > islands)
-    fail(join(path, "portfolio.islands"),
-         "has more assignments (" + std::to_string(opt.portfolio.islands.size()) +
-             ") than ga.island.islands (" + std::to_string(islands) + ")");
-  if (!(opt.portfolio.sa.initial_temperature > 0.0))
-    fail(join(path, "portfolio.sa.initial_temperature"), "must be greater than 0");
-  if (!(opt.portfolio.sa.cooling > 0.0) || opt.portfolio.sa.cooling > 1.0)
-    fail(join(path, "portfolio.sa.cooling"), "must be in (0, 1]");
-  if (!(opt.portfolio.prefilter.quantile > 0.0) || opt.portfolio.prefilter.quantile > 1.0)
-    fail(join(path, "portfolio.prefilter.quantile"), "must be in (0, 1]");
-}
-
-void validate(const scheduler_options& opt, const std::string& path) {
-  if (opt.default_weight == 0) fail(join(path, "default_weight"), "must be at least 1");
-  for (const auto& [lane, weight] : opt.weights)
-    if (weight == 0) fail(join(path, "weights." + lane), "must be at least 1");
-}
-
-void validate(const surrogate::refresh_options& opt, const std::string& path) {
-  if (opt.log_capacity == 0) fail(join(path, "log_capacity"), "must be at least 1");
-  if (opt.min_new_samples == 0) fail(join(path, "min_new_samples"), "must be at least 1");
-  check_fraction_open(opt.holdout_fraction, join(path, "holdout_fraction"));
-  if (opt.promotion_margin < 0.0) fail(join(path, "promotion_margin"), "must not be negative");
-}
-
-void validate(const snapshot_options& opt, const std::string& path) {
-  if (opt.spill_on_evict && opt.directory.empty())
-    fail(join(path, "spill_on_evict"), "requires a snapshot directory (set \"directory\")");
-}
-
-void validate(const group_options& opt, const std::string& path) {
-  if (opt.shards == 0) fail(join(path, "shards"), "must be at least 1");
-  if (opt.virtual_nodes == 0) fail(join(path, "virtual_nodes"), "must be at least 1");
-}
-
-void validate(const service_options& opt, const std::string& path) {
-  if (opt.workers == 0) fail(join(path, "workers"), "must be at least 1");
-  validate(opt.engine, join(path, "engine"));
-  validate(opt.scheduler, join(path, "scheduler"));
-  validate(opt.refresh, join(path, "refresh"));
-  validate(opt.snapshot, join(path, "snapshot"));
-}
-
-void validate(const soc::thermal_model& model, const std::string& path) {
-  if (!(model.r_thermal_c_per_w > 0.0))
-    fail(join(path, "r_thermal_c_per_w"), "must be greater than 0");
-  if (!(model.tau_s > 0.0)) fail(join(path, "tau_s"), "must be greater than 0");
-  if (!(model.throttle_c > model.ambient_c)) fail(join(path, "throttle_c"), "must exceed ambient_c");
-}
-
-void validate(const soc::resident_load& load, const std::string& path) {
-  if (load.name.empty()) fail(join(path, "name"), "must not be empty");
-  const std::pair<const char*, double> fields[] = {
-      {"interconnect_gbps", load.interconnect_gbps},
-      {"dram_gbps", load.dram_gbps},
-      {"power_w", load.power_w},
-      {"shared_memory_bytes", load.shared_memory_bytes},
-  };
-  for (const auto& [key, val] : fields)
-    if (!std::isfinite(val) || val < 0.0)
-      fail(join(path, key), "must be finite and non-negative");
-}
-
-void validate(const soc::contention_context& ctx, const std::string& path) {
-  std::vector<std::string> seen;
-  for (std::size_t i = 0; i < ctx.residents.size(); ++i) {
-    const std::string rpath = join(path, "residents") + "[" + std::to_string(i) + "]";
-    validate(ctx.residents[i], rpath);
-    if (std::find(seen.begin(), seen.end(), ctx.residents[i].name) != seen.end())
-      fail(rpath + ".name", "duplicate resident name \"" + ctx.residents[i].name + "\"");
-    seen.push_back(ctx.residents[i].name);
-  }
-  const std::pair<const char*, double> coeffs[] = {
-      {"interconnect_alpha", ctx.interconnect_alpha},
-      {"dram_alpha", ctx.dram_alpha},
-      {"dram_energy_beta", ctx.dram_energy_beta},
-  };
-  for (const auto& [key, val] : coeffs)
-    if (!std::isfinite(val) || val < 0.0)
-      fail(join(path, key), "must be finite and non-negative");
-  if (ctx.thermal) validate(*ctx.thermal, join(path, "thermal"));
-}
-
-void validate(const service_config& cfg, const std::string& path) {
-  validate(cfg.service, path);
-  validate(cfg.group, join(path, "group"));
-  validate(cfg.ga, join(path, "ga"));
-  validate(cfg.scenario, join(path, "scenario"));
-}
 
 }  // namespace
 
@@ -505,7 +485,6 @@ value to_json(const T& opt) {
 template <class T>
 void from_json(const value& v, T& out, const std::string& path) {
   reader::read(v, out, path);
-  validate(out, path);
 }
 
 #define MAPCQ_CONFIG_BINDINGS(T)          \

@@ -8,18 +8,23 @@
 //
 // Each option struct, and each block nested in one, has one field list in
 // service_config.cpp that names every JSON key beside its member, once, in
-// dump order. The writer behind to_json / dump_config and the reader behind
-// from_json both walk that list, so a key added there is dumped, parsed,
-// rejected when misspelt and overridable with --set without further code.
+// dump order; a key's range rule ends its line. The writer behind to_json /
+// dump_config and the reader behind from_json both walk that list, so a key
+// added there is dumped, parsed, range-checked, rejected when misspelt and
+// overridable with --set without further code.
 //
 // Contract of the bindings:
 //   * to_json(x) emits every field, defaults included, in list order —
 //     dump(to_json(x)) is deterministic, so equal configs always serialize
 //     to byte-identical text (the bit-identity tests gate on it).
 //   * from_json starts from the struct's current values, overwrites the
-//     fields present, rejects unknown keys, then range-checks the whole
-//     struct once. All failures throw `config_error` naming the dotted key
-//     path ("ga.elite_fraction"), never a bare json error.
+//     fields present and rejects unknown keys. It checks each member's rule
+//     against the member's value whether the document set it or not, then
+//     each struct's rules across members (islands against population,
+//     throttle against ambient, ...); a block the document omits is
+//     checked as if it were read from {}. All failures throw `config_error`
+//     naming the dotted key path ("ga.elite_fraction"), never a bare json
+//     error.
 //   * chrono fields serialize as integral milliseconds under a `_ms`
 //     suffixed key; enums serialize as strings ("reject", "latency", ...);
 //     every integer is a non-negative JSON number no larger than 2^53.
@@ -104,9 +109,9 @@ void save_config(const service_config& cfg, const std::string& file_path);
 
 /// Applies one `--set` style override of the form "dotted.key=value"
 /// (e.g. "ga.generations=8", "scheduler.policy=reject",
-/// "engine.memoize=false"). The value text is parsed as a JSON scalar, with
-/// a bare-word fallback to a string (so enum values need no quoting), and
-/// routed through the exact from_json path — unknown keys and bad values
+/// "scheduler.coalesce=false"). The value text is parsed as a JSON scalar,
+/// with a bare-word fallback to a string (so enum values need no quoting),
+/// and routed through the exact from_json path — unknown keys and bad values
 /// throw the same config_error a file would.
 void apply_override(service_config& cfg, std::string_view assignment);
 

@@ -87,6 +87,30 @@ surrogate::dataset mapping_session::ground_truth_rows(const core::configuration&
   return rows;
 }
 
+void mapping_session::bind_locked(std::shared_ptr<const surrogate::hw_predictor> next) {
+  predictor_ = std::move(next);
+  core::evaluator_options opt = eval_opt_;
+  opt.predictor = predictor_.get();
+  surrogate_eval_ = std::make_unique<core::evaluator>(*net_, *plat_, opt, ranking_seed_);
+  if (surrogate_engine_)
+    surrogate_engine_->advance_epoch(*surrogate_eval_);
+  else
+    surrogate_engine_ = std::make_unique<core::evaluation_engine>(*surrogate_eval_, engine_opt_);
+}
+
+void mapping_session::start_refresh_locked(surrogate::dataset base_train) {
+  refresh_ = std::make_unique<surrogate::refresh_pipeline>(
+      refresh_opt_, gbt_, std::move(base_train), predictor_,
+      [this](std::shared_ptr<const surrogate::hw_predictor> cand) { promote(std::move(cand)); });
+}
+
+void mapping_session::install_tap() {
+  analytic_engine_.set_ground_truth_tap(
+      [this](const core::configuration& config, const core::evaluation&) {
+        refresh_->observe(ground_truth_rows(config));
+      });
+}
+
 void mapping_session::promote(std::shared_ptr<const surrogate::hw_predictor> next) {
   const std::lock_guard<std::mutex> lock{surrogate_mu_};
   if (!surrogate_engine_) return;  // cannot happen: the pipeline requires a trained session
@@ -94,17 +118,13 @@ void mapping_session::promote(std::shared_ptr<const surrogate::hw_predictor> nex
   // swap still hold raw pointers into it (engine contract).
   retired_predictors_.push_back(std::move(predictor_));
   retired_evals_.push_back(std::move(surrogate_eval_));
-  predictor_ = std::move(next);
-  core::evaluator_options opt = eval_opt_;
-  opt.predictor = predictor_.get();
-  surrogate_eval_ = std::make_unique<core::evaluator>(*net_, *plat_, opt, ranking_seed_);
-  surrogate_engine_->advance_epoch(*surrogate_eval_);
+  bind_locked(std::move(next));
 }
 
 core::evaluation_engine& mapping_session::surrogate_engine(
     const surrogate::benchmark_options& bench, const surrogate::gbt_params& gbt,
     bool* trained_now) {
-  bool install_tap = false;
+  bool tap = false;
   core::evaluation_engine* engine = nullptr;
   {
     const std::lock_guard<std::mutex> lock{surrogate_mu_};
@@ -116,27 +136,17 @@ core::evaluation_engine& mapping_session::surrogate_engine(
       // and the memo cache. A throwing fit leaves predictor_ null.
       bool fitted = false;
       pooled_fit fit = pool_->acquire(net_, plat_, bench, gbt, &fitted);
-      predictor_ = std::move(fit.predictor);
       fidelity_ = fit.fidelity;
       bench_ = bench;
       gbt_ = gbt;
-      core::evaluator_options opt = eval_opt_;
-      opt.predictor = predictor_.get();
-      surrogate_eval_ = std::make_unique<core::evaluator>(*net_, *plat_, opt, ranking_seed_);
-      surrogate_engine_ = std::make_unique<core::evaluation_engine>(*surrogate_eval_, engine_opt_);
+      bind_locked(std::move(fit.predictor));
       if (refresh_opt_.enabled) {
         // The pipeline learns from the *analytic* engine's ground-truth
         // traffic (cache misses during analytic searches and validation).
-        // Building it before installing the tap, inside this locked section,
-        // is what lets the tap use `refresh_` without taking surrogate_mu_.
         // The pool keeps predictors, not datasets, so the training split
         // the candidates refit on is regenerated (a few ms next to a fit).
-        refresh_ = std::make_unique<surrogate::refresh_pipeline>(
-            refresh_opt_, gbt, surrogate_split(*net_, *plat_, bench).train, predictor_,
-            [this](std::shared_ptr<const surrogate::hw_predictor> cand) {
-              promote(std::move(cand));
-            });
-        install_tap = true;
+        start_refresh_locked(surrogate_split(*net_, *plat_, bench).train);
+        tap = true;
       }
       if (trained_now) *trained_now = fitted;
     } else {
@@ -148,18 +158,11 @@ core::evaluation_engine& mapping_session::surrogate_engine(
     }
     engine = surrogate_engine_.get();
   }
-  // The tap is installed only after surrogate_mu_ is released: a firing tap
-  // holds the engine's tap lock while a synchronous refit's promotion
-  // callback re-takes surrogate_mu_, so registering under surrogate_mu_
-  // inverts that order (lock cycle -> potential deadlock under TSan).
+  // The tap goes in after surrogate_mu_ is released (see install_tap).
   // Racing callers are safe — `refresh_` is already set, training is
   // serialized above, and analytic traffic in the gap merely goes
   // unobserved.
-  if (install_tap)
-    analytic_engine_.set_ground_truth_tap(
-        [this](const core::configuration& config, const core::evaluation&) {
-          refresh_->observe(ground_truth_rows(config));
-        });
+  if (tap) install_tap();
   return *engine;
 }
 
@@ -237,19 +240,12 @@ session_snapshot mapping_session::snapshot() {
 void mapping_session::restore(const session_snapshot& snap) {
   if (snap.session_key != key_)
     throw snapshot_error("session key mismatch (snapshot is for '" + snap.session_key + "')");
-  bool install_tap = false;
+  bool tap = false;
   {
     const std::lock_guard<std::mutex> lock{surrogate_mu_};
-    install_tap = restore_locked(snap);
+    tap = restore_locked(snap);
   }
-  // Outside surrogate_mu_ for the same lock-ordering reason as in
-  // surrogate_engine(): tap registration must not nest inside the mutex the
-  // tap's promotion path takes.
-  if (install_tap)
-    analytic_engine_.set_ground_truth_tap(
-        [this](const core::configuration& config, const core::evaluation&) {
-          refresh_->observe(ground_truth_rows(config));
-        });
+  if (tap) install_tap();
 }
 
 bool mapping_session::restore_locked(const session_snapshot& snap) {
@@ -262,25 +258,17 @@ bool mapping_session::restore_locked(const session_snapshot& snap) {
   // Adopt the fitted ensembles directly — no benchmark generation, no
   // boosting loop; the restored predictor is bit-identical to the
   // snapshotted one, so imported cache entries and fresh predictions agree.
-  predictor_ = std::make_shared<const surrogate::hw_predictor>(
-      surrogate::gbt_regressor(ss.latency, ss.gbt.learning_rate, ss.gbt.log_target),
-      surrogate::gbt_regressor(ss.energy, ss.gbt.learning_rate, ss.gbt.log_target));
   fidelity_ = ss.fidelity;
   bench_ = ss.bench;
   gbt_ = ss.gbt;
-  core::evaluator_options opt = eval_opt_;
-  opt.predictor = predictor_.get();
-  surrogate_eval_ = std::make_unique<core::evaluator>(*net_, *plat_, opt, ranking_seed_);
-  surrogate_engine_ = std::make_unique<core::evaluation_engine>(*surrogate_eval_, engine_opt_);
+  bind_locked(std::make_shared<const surrogate::hw_predictor>(
+      surrogate::gbt_regressor(ss.latency, ss.gbt.learning_rate, ss.gbt.log_target),
+      surrogate::gbt_regressor(ss.energy, ss.gbt.learning_rate, ss.gbt.log_target)));
   surrogate_engine_->import_cache(ss.entries);
 
   if (refresh_opt_.enabled && snap.refresh) {
-    // Same construction order as the training path: pipeline inside this
-    // locked section (so the tap may use refresh_ lock-free), tap
-    // registration deferred to the caller, outside surrogate_mu_.
-    refresh_ = std::make_unique<surrogate::refresh_pipeline>(
-        refresh_opt_, gbt_, snap.refresh->base_train, predictor_,
-        [this](std::shared_ptr<const surrogate::hw_predictor> cand) { promote(std::move(cand)); });
+    // Same order as the training path; the caller installs the tap.
+    start_refresh_locked(snap.refresh->base_train);
     refresh_->restore_log({snap.refresh->log_rows, snap.refresh->log_seen});
     return true;
   }

@@ -147,13 +147,26 @@ class mapping_session {
 
  private:
   /// Refresh promotion target: retires the current predictor/evaluator
-  /// (kept alive for in-flight batches), binds a fresh surrogate evaluator
-  /// to `next` and advances the surrogate engine's cache epoch.
+  /// (kept alive for in-flight batches) and binds `next`.
   void promote(std::shared_ptr<const surrogate::hw_predictor> next);
+  /// Makes `next` the session predictor and binds a fresh surrogate
+  /// evaluator to it: the surrogate engine is built on that evaluator, or,
+  /// once it exists, advances its cache epoch to it. Caller holds
+  /// surrogate_mu_.
+  void bind_locked(std::shared_ptr<const surrogate::hw_predictor> next);
+  /// Builds the refresh pipeline over `base_train`, refitting with `gbt_`
+  /// and promoting through promote(). Caller holds surrogate_mu_: the
+  /// pipeline exists before the tap is installed, which is what lets the
+  /// tap use `refresh_` without taking surrogate_mu_.
+  void start_refresh_locked(surrogate::dataset base_train);
+  /// Feeds every analytic evaluator run to the refresh pipeline. Called
+  /// with surrogate_mu_ released: a firing tap holds the engine's tap lock
+  /// while a synchronous refit's promotion callback re-takes surrogate_mu_,
+  /// so registering under surrogate_mu_ would invert that order (a lock
+  /// cycle, a potential deadlock).
+  void install_tap();
   /// restore() body under surrogate_mu_; returns whether the caller must
-  /// install the ground-truth tap (outside the lock — the tap's promotion
-  /// path re-takes surrogate_mu_ while holding the engine's tap lock, so
-  /// registering under surrogate_mu_ would invert the lock order).
+  /// install the ground-truth tap (outside the lock, see install_tap).
   bool restore_locked(const session_snapshot& snap);
   /// Expands one analytically evaluated configuration into per-sublayer
   /// (features, latency, energy) ground-truth rows for the refresh log.

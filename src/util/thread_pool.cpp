@@ -36,18 +36,6 @@ void thread_pool::wait_idle() {
   cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void thread_pool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  std::atomic<std::size_t> next{0};
-  const std::size_t lanes = std::min(n, workers_.size());
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([&next, n, &fn] {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-    });
-  }
-  wait_idle();
-}
-
 void thread_pool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -1,6 +1,7 @@
 #pragma once
-// Fixed-size worker pool used to evaluate GA populations in parallel.
-// Plays the role of the paper's 12-GPU evaluation cluster (§VI-A).
+// Fixed-size worker pool. An evaluation engine's pool evaluates GA
+// populations in parallel, in the role of the paper's 12-GPU evaluation
+// cluster (§VI-A); a refresh pipeline's one-worker pool runs its refits.
 
 #include <atomic>
 #include <chrono>
@@ -17,7 +18,8 @@ namespace mapcq::util {
 /// Simple task-queue thread pool. Tasks are `void()` callables; exceptions
 /// escaping a task terminate (tasks are expected to capture their own error
 /// channel). `wait_idle` blocks until the queue is drained and all workers
-/// are idle, which is how a GA generation barrier is implemented.
+/// are idle: a whole-pool barrier, so a caller that shares the pool with
+/// others waits on its own tasks instead (as the evaluation engine does).
 ///
 /// Ownership: the pool owns its worker threads and the queued tasks; task
 /// closures own (or must outlive-guard) whatever they capture — the pool
@@ -27,11 +29,11 @@ namespace mapcq::util {
 /// thread, including from inside a task (except `wait_idle`, which would
 /// deadlock if a worker waited on itself).
 ///
-/// Blocking: `submit` never blocks beyond the queue mutex; `wait_idle` and
-/// `parallel_for` block the caller; the destructor blocks until running
-/// tasks finish (queued-but-unstarted tasks still run first — it drains,
-/// it does not cancel). A worker that has just run a task polls the queue,
-/// yielding, for up to `poll_window` before it sleeps.
+/// Blocking: `submit` never blocks beyond the queue mutex; `wait_idle`
+/// blocks the caller; the destructor blocks until running tasks finish
+/// (queued-but-unstarted tasks still run first — it drains, it does not
+/// cancel). A worker that has just run a task polls the queue, yielding,
+/// for up to `poll_window` before it sleeps.
 class thread_pool {
  public:
   /// How long a worker that has just run a task keeps polling for the next
@@ -59,11 +61,6 @@ class thread_pool {
   /// Blocks until every submitted task has finished. Do not call from a
   /// pool worker (self-deadlock).
   void wait_idle();
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Work-steals via an atomic index, so uneven iteration costs balance
-  /// themselves. Blocks the caller; do not call from a pool worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 

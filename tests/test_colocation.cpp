@@ -407,7 +407,6 @@ serving::mapping_request tiny_request(const std::string& network) {
   req.use_surrogate = false;
   req.ga.generations = 2;
   req.ga.population = 6;
-  req.ga.threads = 1;
   return req;
 }
 

@@ -97,7 +97,7 @@ TEST(config_round_trip, every_options_struct_survives_json) {
   core::engine_options engine;
   engine.shards = 8;
   engine.capacity = 1234;
-  engine.memoize = false;
+  engine.threads = 4;
   expect_round_trip(engine);
 
   core::ga_options ga;
@@ -221,6 +221,17 @@ TEST(config_errors, unknown_keys_are_rejected_by_path) {
   // Deleted knobs are unknown keys too: an old config fails loudly at boot.
   expect_error_at(R"({"engine": {"soa_batch": true}})", "engine.soa_batch", "unknown key");
   expect_error_at(R"({"scheduler": {"max_fused": 1}})", "scheduler.max_fused", "unknown key");
+  expect_error_at(R"({"ga": {"threads": 4}})", "ga.threads", "unknown key");
+  expect_error_at(R"({"engine": {"memoize": false}})", "engine.memoize", "unknown key");
+  service_config cfg;
+  for (const std::string key : {"ga.threads", "engine.memoize"}) {
+    try {
+      serving::apply_override(cfg, key + "=1");
+      ADD_FAILURE() << "accepted --set " << key;
+    } catch (const config_error& e) {
+      EXPECT_EQ(std::string(e.what()), "config error at " + key + ": unknown key");
+    }
+  }
 }
 
 TEST(config_errors, out_of_range_values_are_rejected_by_path) {
@@ -597,8 +608,8 @@ struct keyed_service {
   serving::mapping_request base;
 };
 
-// Invariant 3: every GA key changes the coalescing fingerprint, except
-// `threads`, which is documented not to change results; none keys a session.
+// Invariant 3: every GA key changes the coalescing fingerprint; none keys a
+// session.
 TEST(config_keys, every_ga_key_moves_the_fingerprint_not_the_lane) {
   keyed_service ks;
   ks.base.ga.portfolio.islands.emplace_back();
@@ -609,10 +620,7 @@ TEST(config_keys, every_ga_key_moves_the_fingerprint_not_the_lane) {
     serving::mapping_request req = ks.base;
     req.ga = moved(ks.base.ga, path, leaf);
     ASSERT_NE(json::dump(serving::to_json(req.ga)), json::dump(serving::to_json(ks.base.ga)));
-    if (path == "threads")
-      EXPECT_EQ(serving::request_fingerprint(req), fingerprint);
-    else
-      EXPECT_NE(serving::request_fingerprint(req), fingerprint);
+    EXPECT_NE(serving::request_fingerprint(req), fingerprint);
     EXPECT_EQ(ks.service.fairness_lane(req), lane);
   }
 }

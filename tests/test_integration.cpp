@@ -21,7 +21,6 @@ core::ga_options tiny(std::uint64_t seed) {
   core::ga_options opt;
   opt.generations = 5;
   opt.population = 12;
-  opt.threads = 4;
   opt.seed = seed;
   return opt;
 }

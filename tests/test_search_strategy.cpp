@@ -36,7 +36,6 @@ ga_options tiny_ga(std::uint64_t seed = 1) {
   ga_options opt;
   opt.generations = 6;
   opt.population = 12;
-  opt.threads = 4;
   opt.seed = seed;
   return opt;
 }

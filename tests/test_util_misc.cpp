@@ -120,18 +120,6 @@ TEST(strings, human_flops_units) {
   EXPECT_EQ(human_flops(2.5e9), "2.50 GFLOPs");
 }
 
-TEST(thread_pool, parallel_for_covers_all_indices) {
-  thread_pool pool{4};
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(thread_pool, parallel_for_empty_is_noop) {
-  thread_pool pool{2};
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
 TEST(thread_pool, submit_and_wait_idle) {
   thread_pool pool{3};
   std::atomic<int> counter{0};
@@ -150,13 +138,5 @@ TEST(thread_pool, size_is_at_least_one) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(thread_pool, parallel_for_more_work_than_threads) {
-  thread_pool pool{2};
-  std::atomic<int> sum{0};
-  pool.parallel_for(1000, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i % 7)); });
-  int expect = 0;
-  for (int i = 0; i < 1000; ++i) expect += i % 7;
-  EXPECT_EQ(sum.load(), expect);
-}
 
 }  // namespace
