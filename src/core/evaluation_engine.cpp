@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -22,6 +23,11 @@ void poll_until_done(const std::atomic<std::size_t>& remaining) {
   const auto until = std::chrono::steady_clock::now() + kBatchPoll;
   while (remaining.load(std::memory_order_acquire) != 0 && std::chrono::steady_clock::now() < until)
     std::this_thread::yield();
+}
+
+std::shared_ptr<const evaluator> require(std::shared_ptr<const evaluator> eval) {
+  if (!eval) throw std::invalid_argument("evaluation_engine: null evaluator");
+  return eval;
 }
 
 // A capacity bound is a maximum: never spread it over more shards than
@@ -49,8 +55,13 @@ std::size_t approx_evaluation_bytes(const evaluation& e) noexcept {
 }
 
 evaluation_engine::evaluation_engine(const evaluator& eval, engine_options opt)
-    : opt_(opt), shard_capacity_(0), shards_(shard_count(opt)) {
-  state_ = std::make_shared<const epoch_state>(epoch_state{&eval, 0});
+    : evaluation_engine(std::shared_ptr<const evaluator>(std::shared_ptr<void>{}, &eval), opt) {}
+
+evaluation_engine::evaluation_engine(std::shared_ptr<const evaluator> eval, engine_options opt)
+    : opt_(opt),
+      shard_capacity_(0),
+      shards_(shard_count(opt)),
+      state_(std::make_shared<const epoch_state>(epoch_state{require(std::move(eval)), 0})) {
   if (opt_.capacity > 0) shard_capacity_ = opt_.capacity / shards_.size();
   if (opt_.threads > 1) pool_ = std::make_unique<util::thread_pool>(opt_.threads);
 }
@@ -80,12 +91,12 @@ void evaluation_engine::fire_tap(const configuration& config,
   }
 }
 
-void evaluation_engine::advance_epoch(const evaluator& next) {
+void evaluation_engine::advance_epoch(std::shared_ptr<const evaluator> next) {
   std::uint64_t fresh = 0;
   {
     const std::lock_guard<std::mutex> lock{state_mu_};
     fresh = state_->epoch + 1;
-    state_ = std::make_shared<const epoch_state>(epoch_state{&next, fresh});
+    state_ = std::make_shared<const epoch_state>(epoch_state{require(std::move(next)), fresh});
   }
   // Purge everything the new epoch can never serve. Old-epoch batches still
   // in flight may re-insert afterwards; their entries stay tagged stale,
@@ -98,22 +109,22 @@ void evaluation_engine::advance_epoch(const evaluator& next) {
     for (auto it = s.order.begin(); it != s.order.end();) {
       if (it->epoch == fresh) {
         ++it;
-        continue;
+      } else {
+        it = unlink(s, it);
+        ++purged;
       }
-      auto& bucket = s.map.at(it->key);
-      for (auto e = bucket.begin(); e != bucket.end(); ++e) {
-        if (*e == it) {
-          bucket.erase(e);
-          break;
-        }
-      }
-      if (bucket.empty()) s.map.erase(it->key);
-      bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-      it = s.order.erase(it);
-      ++purged;
     }
   }
   invalidated_.fetch_add(purged, std::memory_order_relaxed);
+}
+
+evaluation_engine::entry_list::iterator evaluation_engine::unlink(shard& s,
+                                                                  entry_list::iterator entry) {
+  const auto bucket = s.map.find(entry->key);
+  std::erase(bucket->second, entry);
+  if (bucket->second.empty()) s.map.erase(bucket);
+  bytes_.fetch_sub(entry->bytes, std::memory_order_relaxed);
+  return s.order.erase(entry);
 }
 
 void evaluation_engine::insert(std::size_t key, const evaluation& result,
@@ -131,18 +142,7 @@ void evaluation_engine::insert(std::size_t key, const evaluation& result,
   bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
 
   while (shard_capacity_ > 0 && s.order.size() > shard_capacity_) {
-    const entry_list::iterator victim = s.order.begin();
-    const auto vit = s.map.find(victim->key);
-    auto& ventries = vit->second;
-    for (auto e = ventries.begin(); e != ventries.end(); ++e) {
-      if (*e == victim) {
-        ventries.erase(e);
-        break;
-      }
-    }
-    if (ventries.empty()) s.map.erase(vit);
-    bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
-    s.order.erase(victim);
+    unlink(s, s.order.begin());
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -207,45 +207,8 @@ void evaluation_engine::retire_slot(std::size_t key, const configuration& config
   if (slots.empty()) s.inflight.erase(fit);
 }
 
-void evaluation_engine::complete_owner(std::size_t key, const configuration& config,
-                                       std::uint64_t epoch, std::promise<evaluation>& promise,
-                                       const evaluation& result) {
-  // Publish before retiring the slot (see claim_slot's invariant: a prober
-  // that sees neither table entry knows the run never started).
-  insert(key, result, epoch);
-  retire_slot(key, config, epoch);
-  promise.set_value(result);
-  // The tap fires after publication, outside every shard lock: joiners are
-  // already unblocked and the observer can take its own locks freely.
-  fire_tap(config, result);
-}
-
-void evaluation_engine::abandon_owner(std::size_t key, const configuration& config,
-                                      std::uint64_t epoch, std::promise<evaluation>& promise) {
-  retire_slot(key, config, epoch);
-  promise.set_exception(std::current_exception());
-}
-
 evaluation evaluation_engine::evaluate(const configuration& config) {
-  const std::shared_ptr<const epoch_state> st = current();
-  const std::size_t key = config.hash();
-  claim c = claim_slot(key, config, st->epoch);
-  switch (c.outcome) {
-    case claim::kind::hit:
-      return c.value;
-    case claim::kind::join:
-      return c.pending.get();  // blocks until the owning thread finishes
-    case claim::kind::owner:
-      break;
-  }
-  try {
-    const evaluation fresh = st->eval->evaluate(config);
-    complete_owner(key, config, st->epoch, c.promise, fresh);
-    return fresh;
-  } catch (...) {
-    abandon_owner(key, config, st->epoch, c.promise);
-    throw;
-  }
+  return std::move(evaluate_batch({&config, 1}).front());
 }
 
 void evaluation_engine::plan_batch(batch_plan& plan) {
@@ -283,7 +246,6 @@ void evaluation_engine::plan_batch(batch_plan& plan) {
     g.key = key;
     g.pending = std::move(c.pending);
     if (c.outcome == claim::kind::owner) {
-      g.owner = true;
       g.promise = std::move(c.promise);
       plan.owners.push_back(plan.groups.size());
     }
@@ -295,121 +257,83 @@ void evaluation_engine::plan_batch(batch_plan& plan) {
   dedup_.fetch_add(dups, std::memory_order_relaxed);
 }
 
-void evaluation_engine::run_owner(batch_plan& plan, std::size_t group_index) {
-  batch_plan::group& g = plan.groups[group_index];
-  try {
-    // The batch's captured evaluator, not the live one: a concurrent
-    // advance_epoch must not switch models under a half-evaluated batch.
-    const evaluation fresh = plan.state->eval->evaluate(plan.configs[g.rep]);
-    complete_owner(g.key, plan.configs[g.rep], plan.state->epoch, g.promise, fresh);
-  } catch (...) {
-    // Park the exception in the promise: finish_plan rethrows it on the
-    // consuming thread. Unwinding here would escape into a pool worker and
-    // std::terminate (thread_pool runs tasks bare), and would leave the
-    // remaining owned slots of an inline batch claimed forever.
-    abandon_owner(g.key, plan.configs[g.rep], plan.state->epoch, g.promise);
+void evaluation_engine::launch(const std::shared_ptr<batch_plan>& plan) {
+  // A batch of hits and joins owns no task, so it is launched complete.
+  plan->remaining.store(plan->owners.size(), std::memory_order_relaxed);
+  if (plan->owners.empty()) plan->returned.set_value();
+  for (const std::size_t gi : plan->owners) {
+    if (pool_)
+      pool_->submit([this, plan, gi] { run_owner(*plan, gi); });
+    else
+      run_owner(*plan, gi);
   }
 }
 
-void evaluation_engine::finish_plan(batch_plan& plan) {
+void evaluation_engine::run_owner(batch_plan& plan, std::size_t group_index) {
+  batch_plan::group& g = plan.groups[group_index];
+  const configuration& config = plan.configs[g.rep];
+  // The batch's captured evaluator, not the live one: a concurrent
+  // advance_epoch must not switch models under a half-evaluated batch.
+  const epoch_state& st = *plan.state;
+  try {
+    const evaluation fresh = st.eval->evaluate(config);
+    // Publish before retiring the slot (see claim_slot's invariant: a
+    // prober that sees neither table entry knows the run never started).
+    insert(g.key, fresh, st.epoch);
+    retire_slot(g.key, config, st.epoch);
+    g.promise.set_value(fresh);
+    // The tap fires after publication, outside every shard lock: joiners
+    // are already unblocked and the observer can take its own locks freely.
+    fire_tap(config, fresh);
+  } catch (...) {
+    // Park the exception in the promise: collect rethrows it on the
+    // consuming thread. Unwinding here would escape into a pool worker and
+    // std::terminate (thread_pool runs tasks bare), and would leave the
+    // remaining owned slots of an inline batch claimed forever.
+    retire_slot(g.key, config, st.epoch);
+    g.promise.set_exception(std::current_exception());
+  }
+  // The task's last touch of the batch's configurations and evaluator.
+  if (plan.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) plan.returned.set_value();
+}
+
+std::vector<evaluation> evaluation_engine::collect(batch_plan& plan) {
+  // Wait until every owned task has returned, not only until its result is
+  // set: until then a task may still read the configurations (a
+  // synchronous batch views the caller's span) and fire the tap.
+  poll_until_done(plan.remaining);
+  plan.returned.get_future().wait();
+  // No task uses the evaluator any more: let a replaced one go now.
+  plan.state.reset();
   for (batch_plan::group& g : plan.groups) {
     plan.out[g.rep] = g.pending.get();  // own run or foreign join; may rethrow
     for (const std::size_t d : g.dups) plan.out[d] = plan.out[g.rep];
   }
+  return std::move(plan.out);
 }
 
 std::vector<evaluation> evaluation_engine::evaluate_batch(
     std::span<const configuration> configs) {
-  batch_plan plan;
-  plan.configs = configs;  // view of the caller's span: no copy on this path
-  plan_batch(plan);
-  if (pool_ && plan.owners.size() > 1) {
-    // Per-batch countdown, NOT the pool's wait_idle(): that is a
-    // whole-pool barrier, and other batches (async island generations,
-    // racing requests) may keep this shared pool busy indefinitely. Only
-    // this batch's own tasks are awaited. Capturing stack state is safe:
-    // run_owner never throws, so the countdown always completes and we
-    // never return while a task is live.
-    std::promise<void> done;
-    std::future<void> all_done = done.get_future();
-    std::atomic<std::size_t> remaining{plan.owners.size()};
-    for (const std::size_t gi : plan.owners) {
-      pool_->submit([this, &plan, gi, &remaining, &done] {
-        run_owner(plan, gi);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) done.set_value();
-      });
-    }
-    poll_until_done(remaining);
-    all_done.wait();
-  } else {
-    for (const std::size_t gi : plan.owners) run_owner(plan, gi);
-  }
-  finish_plan(plan);
-  return std::move(plan.out);
+  const auto plan = std::make_shared<batch_plan>();
+  plan->configs = configs;  // view of the caller's span: collected before we return
+  plan_batch(*plan);
+  launch(plan);
+  return collect(*plan);
 }
 
 std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
     std::vector<configuration> configs) {
   // The plan (probe + dedup + in-flight registration + all counter bumps)
-  // runs synchronously here; only the owned evaluator runs are enqueued.
-  // The batch owns its configurations: moving the plan keeps the vector's
-  // heap buffer, so the span stays valid for the pool tasks' lifetime.
+  // runs synchronously here. The batch owns its configurations: the span
+  // views the plan's own vector, which lives as long as the plan.
   auto plan = std::make_shared<batch_plan>();
   plan->storage = std::move(configs);
   plan->configs = plan->storage;
   plan_batch(*plan);
-
-  if (!pool_) {
-    // No workers: evaluate inline (the documented degenerate mode). Joins
-    // may block on foreign threads, but only this caller waits — never a
-    // pool worker — and failures still surface at get().
-    for (const std::size_t gi : plan->owners) run_owner(*plan, gi);
-    std::promise<std::vector<evaluation>> done;
-    std::future<std::vector<evaluation>> fut = done.get_future();
-    try {
-      finish_plan(*plan);
-      done.set_value(std::move(plan->out));
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return fut;
-  }
-
-  // Owned misses go to the pool; the last one to finish flips `owners_done`
-  // (immediately, when the batch was all hits and joins — the call must
-  // never block on foreign runs). Workers only ever evaluate — joining
-  // foreign in-flight runs is deferred to the caller's get(), so
-  // overlapping batches can never deadlock the pool however small it is.
-  struct async_state {
-    std::shared_ptr<batch_plan> plan;
-    std::promise<void> owners_done;
-    std::shared_future<void> done_future;
-    std::atomic<std::size_t> remaining{0};
-  };
-  auto state = std::make_shared<async_state>();
-  state->plan = plan;
-  state->done_future = state->owners_done.get_future().share();
-  state->remaining.store(plan->owners.size(), std::memory_order_relaxed);
-
-  if (plan->owners.empty()) {
-    state->owners_done.set_value();
-  } else {
-    for (const std::size_t gi : plan->owners) {
-      pool_->submit([this, state, gi] {
-        run_owner(*state->plan, gi);
-        if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-          state->owners_done.set_value();
-      });
-    }
-  }
-  // Deferred assembly: runs on the thread that calls get()/wait(); an
-  // abandoned owner's exception rethrows there.
-  return std::async(std::launch::deferred, [this, state] {
-    poll_until_done(state->remaining);
-    state->done_future.wait();
-    finish_plan(*state->plan);
-    return std::move(state->plan->out);
-  });
+  launch(plan);
+  // Deferred: collection runs on the thread that calls get()/wait(), never
+  // on a pool worker, so overlapping batches cannot deadlock the pool.
+  return std::async(std::launch::deferred, [plan] { return collect(*plan); });
 }
 
 engine_stats evaluation_engine::stats() const noexcept {
@@ -431,16 +355,6 @@ std::size_t evaluation_engine::size() const {
     total += s.order.size();
   }
   return total;
-}
-
-void evaluation_engine::clear() {
-  for (shard& s : shards_) {
-    const std::lock_guard<std::mutex> lock{s.mu};
-    for (const cache_entry& entry : s.order)
-      bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
-    s.map.clear();
-    s.order.clear();
-  }
 }
 
 std::vector<evaluation> evaluation_engine::export_cache() const {

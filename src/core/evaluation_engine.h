@@ -20,7 +20,10 @@
 //     ("in-flight dedup", counted in `engine_stats::inflight`);
 //   * `evaluate_batch_async` lets several batches overlap on one worker
 //     pool — the island-model GA keeps the pool busy across generations by
-//     having K islands' batches in flight at once.
+//     having K islands' batches in flight at once;
+//   * every call takes one route: plan the batch on the calling thread,
+//     launch its owned misses (one pool task each, or inline without a
+//     pool), then collect the results on the thread that wants them.
 
 #include <atomic>
 #include <cstddef>
@@ -82,6 +85,19 @@ struct engine_stats {
   }
 };
 
+/// Sums every field, gauges included; a caller that carries counters past
+/// the engine's lifetime zeroes the gauge first.
+inline engine_stats& operator+=(engine_stats& a, const engine_stats& b) noexcept {
+  a.hits += b.hits;
+  a.misses += b.misses;
+  a.dedup += b.dedup;
+  a.inflight += b.inflight;
+  a.evictions += b.evictions;
+  a.invalidated += b.invalidated;
+  a.cache_bytes += b.cache_bytes;
+  return a;
+}
+
 [[nodiscard]] inline engine_stats operator-(engine_stats a, const engine_stats& b) noexcept {
   a.hits -= b.hits;
   a.misses -= b.misses;
@@ -102,11 +118,13 @@ struct engine_stats {
 
 /// Thread-safe memoizing front-end of one `evaluator`.
 ///
-/// Ownership: the engine borrows the evaluator (and every later one handed
-/// to `advance_epoch`; each must stay alive until no batch planned against
-/// it is in flight — in practice, for the engine's lifetime) and owns its
-/// memo table and worker pool. Engines are neither copyable nor movable;
-/// long-lived callers (serving sessions) hold them by reference.
+/// Ownership: the engine holds its evaluator through a `shared_ptr` — a
+/// non-owning one when built from a reference, which must then outlive the
+/// engine — and owns its memo table and worker pool. Each batch holds the
+/// evaluator it was planned against, so one replaced by `advance_epoch`
+/// lives until its last batch is collected. Engines are neither copyable
+/// nor movable; long-lived callers (serving sessions) hold them by
+/// reference.
 ///
 /// Thread-safety: every public member may be called concurrently from any
 /// thread. Results are pure functions of the configuration, so racing
@@ -114,12 +132,15 @@ struct engine_stats {
 /// thread actually ran the evaluator.
 class evaluation_engine {
  public:
+  /// Borrows `eval`, which must outlive the engine.
   explicit evaluation_engine(const evaluator& eval, engine_options opt = {});
+  /// Shares ownership of `eval`. Throws std::invalid_argument when null.
+  explicit evaluation_engine(std::shared_ptr<const evaluator> eval, engine_options opt = {});
 
   evaluation_engine(const evaluation_engine&) = delete;
   evaluation_engine& operator=(const evaluation_engine&) = delete;
 
-  /// One candidate, served from the cache when possible.
+  /// One candidate, served from the cache when possible: a batch of one.
   ///
   /// Blocking: returns immediately on a cache hit; blocks for one evaluator
   /// run on a miss; blocks until the owning thread finishes when the same
@@ -131,7 +152,8 @@ class evaluation_engine {
   /// threads, then evaluates the distinct misses across the worker pool.
   /// The result vector is index-aligned with `configs` regardless of thread
   /// count. Blocks the calling thread until every element is resolved
-  /// (polling for up to 10 ms before it sleeps, see `evaluate_batch_async`).
+  /// (polling for up to 10 ms before it sleeps, see `evaluate_batch_async`);
+  /// the batch reads `configs` in place, so it is not copied.
   [[nodiscard]] std::vector<evaluation> evaluate_batch(std::span<const configuration> configs);
 
   /// A whole population, asynchronously. The cache probe, in-batch dedup
@@ -152,10 +174,11 @@ class evaluation_engine {
   ///
   /// Dropping the future without calling `get()` is safe: the enqueued
   /// evaluations still run and populate the cache. An evaluator exception
-  /// rethrows at `get()` (never inside a pool worker).
+  /// rethrows at `get()` (never inside a pool worker). The future refers to
+  /// the batch only, not to the engine.
   ///
-  /// With `threads <= 1` (no pool) the batch is evaluated inline before the
-  /// call returns and the future is immediately ready.
+  /// With `threads <= 1` (no pool) the owned misses are evaluated inline
+  /// before the call returns; `get()` then only waits for joined runs.
   [[nodiscard]] std::future<std::vector<evaluation>> evaluate_batch_async(
       std::vector<configuration> configs);
 
@@ -165,10 +188,6 @@ class evaluation_engine {
   /// Number of evaluations currently cached (stale-epoch stragglers, which
   /// can never be served, included until the next advance purges them).
   [[nodiscard]] std::size_t size() const;
-
-  /// Drops every cached entry (counters are kept). In-flight evaluations
-  /// are unaffected: they complete and re-insert their results.
-  void clear();
 
   /// Observer of every actual evaluator run ("ground truth"): invoked with
   /// the configuration and its fresh evaluation after the run completes and
@@ -193,17 +212,17 @@ class evaluation_engine {
   /// Batches already planned keep the evaluator they captured at submit
   /// time, so in-flight work finishes on the old model while every new
   /// call sees `next`; this is the predictor-promotion primitive of the
-  /// surrogate refresh pipeline. `next` must outlive every batch planned
-  /// against it — for the old evaluator that means until all in-flight
-  /// batches at swap time have completed (serving sessions retire old
-  /// evaluators into a keep-alive list).
-  void advance_epoch(const evaluator& next);
+  /// surrogate refresh pipeline. Each batch holds its evaluator's
+  /// `shared_ptr`, so the old one is released when the last batch planned
+  /// against it is collected. Throws std::invalid_argument on a null `next`.
+  void advance_epoch(std::shared_ptr<const evaluator> next);
 
   /// Current epoch (0 until the first advance). Cached results are only
   /// served to callers of the same epoch.
   [[nodiscard]] std::uint64_t epoch() const;
 
-  /// The evaluator behind the *current* epoch.
+  /// The evaluator behind the *current* epoch. The reference is valid until
+  /// the next `advance_epoch`.
   [[nodiscard]] const evaluator& base() const noexcept { return *current()->eval; }
   [[nodiscard]] const engine_options& options() const noexcept { return opt_; }
 
@@ -264,25 +283,27 @@ class evaluation_engine {
     std::promise<evaluation> promise;  ///< owned by `owner`
   };
 
-  /// Immutable (evaluator, epoch) pair: batches capture one at submit so
-  /// in-flight work keeps its model across an advance_epoch swap.
+  /// Immutable (evaluator, epoch) pair: every batch holds the one it was
+  /// planned against, so in-flight work keeps its model, alive and in use,
+  /// across an advance_epoch swap.
   struct epoch_state {
-    const evaluator* eval = nullptr;
+    std::shared_ptr<const evaluator> eval;
     std::uint64_t epoch = 0;
   };
 
   /// One batch, planned: every element classified as hit / in-batch dup /
   /// cross-thread join / owned miss, with all counters already bumped.
+  /// Shared by the caller and every owned task.
   struct batch_plan {
     struct group {
       std::size_t rep = 0;  ///< index of the group's representative element
       std::size_t key = 0;
       std::vector<std::size_t> dups;           ///< later in-batch duplicates
-      bool owner = false;                      ///< we run the evaluator
       std::shared_future<evaluation> pending;  ///< the rep's eventual result
-      std::promise<evaluation> promise;        ///< when owner
+      std::promise<evaluation> promise;        ///< when we run the evaluator
     };
-    /// The (evaluator, epoch) this whole batch runs against.
+    /// The (evaluator, epoch) this whole batch runs against; released at
+    /// collection.
     std::shared_ptr<const epoch_state> state;
     /// Async batches own their configurations here; synchronous batches
     /// leave it empty and `configs` views the caller's span (no copy).
@@ -291,6 +312,9 @@ class evaluation_engine {
     std::vector<evaluation> out;      ///< hits pre-filled
     std::vector<group> groups;        ///< joins and owned misses
     std::vector<std::size_t> owners;  ///< indices into `groups`
+    /// Owned tasks that have not returned; the last one sets `returned`.
+    std::atomic<std::size_t> remaining{0};
+    std::promise<void> returned;
   };
 
   [[nodiscard]] shard& shard_for(std::size_t key) noexcept {
@@ -299,31 +323,32 @@ class evaluation_engine {
   /// The live (evaluator, epoch) snapshot.
   [[nodiscard]] std::shared_ptr<const epoch_state> current() const;
   void insert(std::size_t key, const evaluation& result, std::uint64_t epoch);
+  /// Removes `entry` from the shard's index and eviction list; returns the
+  /// entry after it. Caller holds the shard lock.
+  entry_list::iterator unlink(shard& s, entry_list::iterator entry);
   /// Cache-or-inflight-or-register, atomically per shard (counters bumped).
   /// Only entries/slots of `epoch` match.
   [[nodiscard]] claim claim_slot(std::size_t key, const configuration& config,
                                  std::uint64_t epoch);
-  /// Removes a claimed in-flight slot (shared by completion and abandon).
+  /// Removes a claimed in-flight slot (after a run, successful or not).
   void retire_slot(std::size_t key, const configuration& config, std::uint64_t epoch);
-  /// Owner completion: publishes to the cache, retires the in-flight slot
-  /// and fulfills the promise.
-  void complete_owner(std::size_t key, const configuration& config, std::uint64_t epoch,
-                      std::promise<evaluation>& promise, const evaluation& result);
-  /// Owner failure: retires the slot and propagates the exception to joiners.
-  void abandon_owner(std::size_t key, const configuration& config, std::uint64_t epoch,
-                     std::promise<evaluation>& promise);
   /// Invokes the ground-truth tap, if any (never throws; see the setter).
   void fire_tap(const configuration& config, const evaluation& result) noexcept;
   /// Classifies `plan.configs` (which must already be set) in place and
   /// stamps `plan.state`.
   void plan_batch(batch_plan& plan);
-  /// Evaluates one owned group. Never throws: an evaluator exception is
-  /// parked in the group's promise (via abandon_owner) so pool workers
-  /// never unwind; `finish_plan` rethrows it on the consuming thread.
+  /// Starts the plan's owned misses: one pool task each, or inline before
+  /// returning when the engine has no pool. The only place that chooses.
+  void launch(const std::shared_ptr<batch_plan>& plan);
+  /// Evaluates one owned group, publishes it and fires the tap. Never
+  /// throws: an evaluator exception is parked in the group's promise so
+  /// pool workers never unwind; `collect` rethrows it on the consuming
+  /// thread.
   void run_owner(batch_plan& plan, std::size_t group_index);
-  /// Collects every group's result (own runs and foreign joins alike) and
-  /// copies duplicates into place; rethrows the first failed run.
-  void finish_plan(batch_plan& plan);
+  /// Waits until every owned task has returned, then assembles the result
+  /// (own runs and foreign joins alike, duplicates copied into place);
+  /// rethrows the first failed run. Touches the plan only, never the engine.
+  [[nodiscard]] static std::vector<evaluation> collect(batch_plan& plan);
 
   engine_options opt_;
   std::size_t shard_capacity_;  ///< per-shard entry cap (0 = unbounded)
@@ -336,11 +361,6 @@ class evaluation_engine {
   mutable std::shared_mutex tap_mu_;
   ground_truth_tap tap_;
 
-  /// Declared after every member its drained tasks touch (shards_, the
-  /// epoch state, the tap): the pool's destructor runs queued evaluations
-  /// to completion, and those publish to the cache and fire the tap.
-  std::unique_ptr<util::thread_pool> pool_;  ///< null when threads <= 1
-
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
   std::atomic<std::size_t> dedup_{0};
@@ -348,6 +368,11 @@ class evaluation_engine {
   std::atomic<std::size_t> evictions_{0};
   std::atomic<std::size_t> invalidated_{0};
   std::atomic<std::size_t> bytes_{0};  ///< live-entry footprint (stats().cache_bytes)
+
+  /// Declared last, after every member its drained tasks touch (shards_,
+  /// the counters, the tap): the pool's destructor runs queued evaluations
+  /// to completion, and those publish to the cache and fire the tap.
+  std::unique_ptr<util::thread_pool> pool_;  ///< null when threads <= 1
 };
 
 }  // namespace mapcq::core

@@ -98,13 +98,7 @@ std::string mapping_service::session_key(const mapping_request& req,
      << "|contention=" << e.model.enable_contention << ":" << e.model.bandwidth_contention
      << "|lat=" << e.limits.latency_target_ms << "|en=" << e.limits.energy_target_mj
      << "|reuse=" << e.limits.fmap_reuse_cap;
-  os << "|thermal=";
-  if (e.thermal) {
-    os << e.thermal->ambient_c << "," << e.thermal->r_thermal_c_per_w << "," << e.thermal->tau_s
-       << "," << e.thermal->throttle_c;
-  } else {
-    os << "none";
-  }
+  os << "|thermal=" << soc::thermal_key(e.thermal);
   // Co-location scenario: every field of the contention context changes the
   // evaluator, so it all keys. Appended only when non-idle, keeping idle
   // keys — and the snapshot filenames hashed from them — byte-identical to
@@ -446,16 +440,8 @@ core::engine_stats mapping_service::engine_totals() const {
   // while its surrogate is fitted, and that must not stall the registry.
   core::engine_stats total;
   for (const auto& session : live_sessions()) {
-    for (const core::engine_stats s :
-         {session->analytic_cache_stats(), session->surrogate_cache_stats()}) {
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.dedup += s.dedup;
-      total.inflight += s.inflight;
-      total.evictions += s.evictions;
-      total.invalidated += s.invalidated;
-      total.cache_bytes += s.cache_bytes;
-    }
+    total += session->analytic_cache_stats();
+    total += session->surrogate_cache_stats();
   }
   return total;
 }

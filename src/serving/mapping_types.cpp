@@ -34,13 +34,7 @@ std::string request_fingerprint(const mapping_request& req) {
      << e.count_idle_power << "," << e.model.enable_contention << ","
      << e.model.bandwidth_contention << "," << e.limits.latency_target_ms << ","
      << e.limits.energy_target_mj << "," << e.limits.fmap_reuse_cap;
-  os << "|thermal=";
-  if (e.thermal) {
-    os << e.thermal->ambient_c << "," << e.thermal->r_thermal_c_per_w << "," << e.thermal->tau_s
-       << "," << e.thermal->throttle_c;
-  } else {
-    os << "none";
-  }
+  os << "|thermal=" << soc::thermal_key(e.thermal);
   // Co-location scenario (only when non-idle, so legacy fingerprints — and
   // the traces capturing them — stay byte-identical for idle requests).
   if (!e.contention.idle()) os << "|scen=" << soc::scenario_key(e.contention);

@@ -121,6 +121,24 @@ struct scheduler_stats {
   std::unordered_map<std::string, std::size_t> inflight_per_session;
 };
 
+/// Sums every field, gauges and per-lane counts included; a caller that
+/// carries counters past the scheduler's lifetime clears the gauges first.
+inline scheduler_stats& operator+=(scheduler_stats& a, const scheduler_stats& b) {
+  a.submitted += b.submitted;
+  a.admitted += b.admitted;
+  a.coalesced += b.coalesced;
+  a.rejected += b.rejected;
+  a.expired += b.expired;
+  a.completed += b.completed;
+  a.failed += b.failed;
+  a.fused += b.fused;
+  a.fused_batches += b.fused_batches;
+  a.queued += b.queued;
+  a.inflight += b.inflight;
+  for (const auto& [lane, n] : b.inflight_per_session) a.inflight_per_session[lane] += n;
+  return a;
+}
+
 /// What a request returns.
 struct mapping_report {
   std::string network;

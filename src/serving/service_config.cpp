@@ -6,6 +6,7 @@
 #include <concepts>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <type_traits>
@@ -383,21 +384,28 @@ class reader {
     if (!v.is_string()) fail(path, "expected a string");
     out = v.as_string();
   }
-  /// The one integer rule of every config field: a JSON number that is a
-  /// non-negative integer no larger than 2^53, the last one a double holds
-  /// exactly (larger values would also overflow the cast below).
+  /// The one integer rule of every config field: a non-negative integer no
+  /// larger than `max`, the member type's largest value. An integer literal
+  /// is read exactly; any other number ("5.0", "1e3") must be integral and
+  /// at most 2^53, the last integer a double holds exactly.
+  static std::uint64_t read_integer(const value& v, std::uint64_t max, const std::string& path) {
+    constexpr double exact = 9007199254740992.0;  // 2^53
+    std::optional<std::uint64_t> n = v.exact_uint();
+    if (!n && v.is_number()) {
+      const double d = v.as_number();
+      if (d >= 0.0 && d == std::floor(d) && d <= exact) n = static_cast<std::uint64_t>(d);
+    }
+    if (!n || *n > max) fail(path, "expected a non-negative integer");
+    return *n;
+  }
   template <std::unsigned_integral U>
   static void read(const value& v, U& out, const std::string& path) {
-    constexpr double exact = 9007199254740992.0;  // 2^53
-    if (!v.is_number()) fail(path, "expected a non-negative integer");
-    const double d = v.as_number();
-    if (d < 0.0 || d != std::floor(d) || d > exact) fail(path, "expected a non-negative integer");
-    out = static_cast<U>(d);
+    out = static_cast<U>(read_integer(v, std::numeric_limits<U>::max(), path));
   }
+  /// Bounded by what the duration's signed count holds.
   static void read(const value& v, std::chrono::milliseconds& out, const std::string& path) {
-    std::uint64_t ms = 0;
-    read(v, ms, path);
-    out = std::chrono::milliseconds(ms);
+    out = std::chrono::milliseconds(static_cast<std::chrono::milliseconds::rep>(
+        read_integer(v, std::chrono::milliseconds::max().count(), path)));
   }
   template <class E, std::size_t N>
   static void read(const value& v, E& out, const std::string& path,

@@ -102,24 +102,17 @@ void service_group::carry_shard_counters(const mapping_service& svc) {
   carried_.spill_failures += svc.spill_failures();
   carried_.sessions_restored += svc.sessions_restored();
   carried_.restore_failures += svc.restore_failures();
-  const scheduler_stats sched = svc.scheduler();
-  carried_.scheduler.submitted += sched.submitted;
-  carried_.scheduler.admitted += sched.admitted;
-  carried_.scheduler.coalesced += sched.coalesced;
-  carried_.scheduler.rejected += sched.rejected;
-  carried_.scheduler.expired += sched.expired;
-  carried_.scheduler.completed += sched.completed;
-  carried_.scheduler.failed += sched.failed;
   // Gauges (queued/inflight, per-lane breakdowns, cache_bytes) die with the
   // shard: carrying them would report load on hardware that no longer
   // exists.
-  const core::engine_stats eng = svc.engine_totals();
-  carried_.engines.hits += eng.hits;
-  carried_.engines.misses += eng.misses;
-  carried_.engines.dedup += eng.dedup;
-  carried_.engines.inflight += eng.inflight;
-  carried_.engines.evictions += eng.evictions;
-  carried_.engines.invalidated += eng.invalidated;
+  scheduler_stats sched = svc.scheduler();
+  sched.queued = 0;
+  sched.inflight = 0;
+  sched.inflight_per_session.clear();
+  carried_.scheduler += sched;
+  core::engine_stats eng = svc.engine_totals();
+  eng.cache_bytes = 0;
+  carried_.engines += eng;
 }
 
 void service_group::reshard(std::size_t new_shards) {
@@ -152,26 +145,8 @@ group_stats service_group::stats() const {
     g.spill_failures += shard->spill_failures();
     g.sessions_restored += shard->sessions_restored();
     g.restore_failures += shard->restore_failures();
-    const scheduler_stats sched = shard->scheduler();
-    g.scheduler.submitted += sched.submitted;
-    g.scheduler.admitted += sched.admitted;
-    g.scheduler.coalesced += sched.coalesced;
-    g.scheduler.rejected += sched.rejected;
-    g.scheduler.expired += sched.expired;
-    g.scheduler.completed += sched.completed;
-    g.scheduler.failed += sched.failed;
-    g.scheduler.queued += sched.queued;
-    g.scheduler.inflight += sched.inflight;
-    for (const auto& [lane, n] : sched.inflight_per_session)
-      g.scheduler.inflight_per_session[lane] += n;
-    const core::engine_stats eng = shard->engine_totals();
-    g.engines.hits += eng.hits;
-    g.engines.misses += eng.misses;
-    g.engines.dedup += eng.dedup;
-    g.engines.inflight += eng.inflight;
-    g.engines.evictions += eng.evictions;
-    g.engines.invalidated += eng.invalidated;
-    g.engines.cache_bytes += eng.cache_bytes;
+    g.scheduler += shard->scheduler();
+    g.engines += shard->engine_totals();
   }
   return g;
 }

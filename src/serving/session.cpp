@@ -91,11 +91,14 @@ void mapping_session::bind_locked(std::shared_ptr<const surrogate::hw_predictor>
   predictor_ = std::move(next);
   core::evaluator_options opt = eval_opt_;
   opt.predictor = predictor_.get();
-  surrogate_eval_ = std::make_unique<core::evaluator>(*net_, *plat_, opt, ranking_seed_);
+  // The deleter holds the predictor: the evaluator cannot outlive it.
+  std::shared_ptr<const core::evaluator> eval{
+      new core::evaluator(*net_, *plat_, opt, ranking_seed_),
+      [predictor = predictor_](const core::evaluator* e) { delete e; }};
   if (surrogate_engine_)
-    surrogate_engine_->advance_epoch(*surrogate_eval_);
+    surrogate_engine_->advance_epoch(std::move(eval));
   else
-    surrogate_engine_ = std::make_unique<core::evaluation_engine>(*surrogate_eval_, engine_opt_);
+    surrogate_engine_ = std::make_unique<core::evaluation_engine>(std::move(eval), engine_opt_);
 }
 
 void mapping_session::start_refresh_locked(surrogate::dataset base_train) {
@@ -114,10 +117,6 @@ void mapping_session::install_tap() {
 void mapping_session::promote(std::shared_ptr<const surrogate::hw_predictor> next) {
   const std::lock_guard<std::mutex> lock{surrogate_mu_};
   if (!surrogate_engine_) return;  // cannot happen: the pipeline requires a trained session
-  // Keep the outgoing generation alive: batches planned before the epoch
-  // swap still hold raw pointers into it (engine contract).
-  retired_predictors_.push_back(std::move(predictor_));
-  retired_evals_.push_back(std::move(surrogate_eval_));
   bind_locked(std::move(next));
 }
 

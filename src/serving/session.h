@@ -18,7 +18,9 @@
 // shared, not owned: the service's predictor_pool fits it once per
 // (network, platform, bench, gbt) and every session with that key adopts
 // the same immutable predictor. Refresh promotions replace the session's
-// predictor only. Sessions are handed out as shared_ptr, so one evicted
+// predictor only; the surrogate evaluator owns the predictor it was built
+// on, and the engine owns each evaluator until the last batch planned
+// against it is collected. Sessions are handed out as shared_ptr, so one evicted
 // from the service registry (LRU cap or idle TTL) keeps serving whoever
 // still holds it.
 //
@@ -33,7 +35,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/evaluation_engine.h"
 #include "core/evaluator.h"
@@ -146,13 +147,13 @@ class mapping_session {
   void restore(const session_snapshot& snap);
 
  private:
-  /// Refresh promotion target: retires the current predictor/evaluator
-  /// (kept alive for in-flight batches) and binds `next`.
+  /// Refresh promotion target: binds `next`. Batches planned on the old
+  /// evaluator keep it, and its predictor, alive until they are collected.
   void promote(std::shared_ptr<const surrogate::hw_predictor> next);
   /// Makes `next` the session predictor and binds a fresh surrogate
-  /// evaluator to it: the surrogate engine is built on that evaluator, or,
-  /// once it exists, advances its cache epoch to it. Caller holds
-  /// surrogate_mu_.
+  /// evaluator, which owns a reference to it: the surrogate engine is built
+  /// on that evaluator, or, once it exists, advances its cache epoch to it.
+  /// Caller holds surrogate_mu_.
   void bind_locked(std::shared_ptr<const surrogate::hw_predictor> next);
   /// Builds the refresh pipeline over `base_train`, refitting with `gbt_`
   /// and promoting through promote(). Caller holds surrogate_mu_: the
@@ -189,19 +190,9 @@ class mapping_session {
   surrogate::gbt_params gbt_;
   std::shared_ptr<const surrogate::hw_predictor> predictor_;
   std::optional<surrogate::hw_predictor::fidelity> fidelity_;
-  // Retired predictor generations and their evaluators outlive promotion:
-  // batches planned before an epoch swap finish on the old model. Declared
-  // before the engine so they are destroyed after it drains. Memory grows
-  // linearly with promotion count — acceptable because promotions are
-  // gated on genuine held-out improvement (drift events, not a steady
-  // drip); letting engine epoch_states share ownership so a generation
-  // dies with its last in-flight batch is the queued refinement (ROADMAP).
-  std::vector<std::shared_ptr<const surrogate::hw_predictor>> retired_predictors_;
-  std::vector<std::unique_ptr<core::evaluator>> retired_evals_;
-  std::unique_ptr<core::evaluator> surrogate_eval_;
   std::unique_ptr<core::evaluation_engine> surrogate_engine_;
   /// Declared last: destroyed first, draining any in-flight refit while
-  /// the predictors/evaluators/engines above are still alive. Created at
+  /// the predictors and engines above are still alive. Created at
   /// most once (first surrogate training), before the tap is installed,
   /// and never reassigned — so the tap may use it without surrogate_mu_.
   std::unique_ptr<surrogate::refresh_pipeline> refresh_;

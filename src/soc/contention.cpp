@@ -132,12 +132,16 @@ std::string scenario_key(const contention_context& ctx) {
   }
   os << "|cap=";
   for (const std::size_t level : ctx.dvfs_cap) os << level << ",";
-  os << "|thermal=";
-  if (ctx.thermal)
-    os << ctx.thermal->ambient_c << "," << ctx.thermal->r_thermal_c_per_w << ","
-       << ctx.thermal->tau_s << "," << ctx.thermal->throttle_c;
-  else
-    os << "none";
+  os << "|thermal=" << thermal_key(ctx.thermal);
+  return os.str();
+}
+
+std::string thermal_key(const std::optional<thermal_model>& thermal) {
+  if (!thermal) return "none";
+  std::ostringstream os;
+  os.precision(17);
+  os << thermal->ambient_c << "," << thermal->r_thermal_c_per_w << "," << thermal->tau_s << ","
+     << thermal->throttle_c;
   return os.str();
 }
 

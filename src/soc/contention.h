@@ -98,6 +98,10 @@ struct contention_context {
 /// bit-identically; an idle context yields "idle".
 [[nodiscard]] std::string scenario_key(const contention_context& ctx);
 
+/// The thermal part of every key above and of the serving keys:
+/// "ambient,r,tau,throttle" at 17 significant digits, or "none".
+[[nodiscard]] std::string thermal_key(const std::optional<thermal_model>& thermal);
+
 /// Per-CU reservation accounting for a platform shared by several owners:
 /// `reserve` claims a resident's units (all-or-nothing), `release` frees
 /// them by name. Used by serving::placement_group to keep co-located

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -95,7 +96,7 @@ bool value::operator==(const value& other) const noexcept {
   switch (kind_) {
     case kind::null: return true;
     case kind::boolean: return bool_ == other.bool_;
-    case kind::number: return num_ == other.num_;
+    case kind::number: return uint_ && other.uint_ ? uint_ == other.uint_ : num_ == other.num_;
     case kind::string: return str_ == other.str_;
     case kind::array: return arr_ == other.arr_;
     case kind::object: return obj_ == other.obj_;
@@ -336,6 +337,10 @@ class parser {
       while (!done() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     const std::string token{text_.substr(start, pos_ - start)};
+    // A digits-only literal that fits 64 bits is kept exact.
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), n);
+    if (ec == std::errc{} && end == token.data() + token.size()) return value{n};
     const double v = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(v)) fail("number out of double range");
     return value{v};
@@ -396,7 +401,12 @@ void dump_value(std::string& out, const value& v, int indent, int depth) {
   switch (v.type()) {
     case value::kind::null: out += "null"; return;
     case value::kind::boolean: out += v.as_bool() ? "true" : "false"; return;
-    case value::kind::number: dump_number(out, v.as_number()); return;
+    case value::kind::number:
+      if (const auto n = v.exact_uint())
+        out += std::to_string(*n);
+      else
+        dump_number(out, v.as_number());
+      return;
     case value::kind::string: dump_string(out, v.as_string()); return;
     case value::kind::array: {
       const array& a = v.as_array();

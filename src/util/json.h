@@ -7,12 +7,17 @@
 // whose output is deterministic (objects keep insertion order, numbers
 // round-trip at full precision) so two equal configs always serialize to
 // byte-identical text — the property the config bit-identity checks gate on.
+// A number also keeps the exact value of a non-negative 64-bit integer
+// (a digits-only literal or an integer constructor), so seeds and counts
+// above 2^53 survive a dump and a parse.
 //
 // Not supported on purpose: comments, trailing commas, duplicate-key
 // tolerance (last-wins would hide config typos; `parse` rejects them) and
 // non-finite numbers (JSON has no literal for them; `dump` throws).
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,12 +57,15 @@ class value {
   value(std::nullptr_t) noexcept : kind_(kind::null) {}  // NOLINT(google-explicit-constructor)
   value(bool b) noexcept : kind_(kind::boolean), bool_(b) {}  // NOLINT
   value(double v) : kind_(kind::number), num_(v) {}           // NOLINT
-  value(int v) : kind_(kind::number), num_(v) {}              // NOLINT
-  value(unsigned v) : kind_(kind::number), num_(v) {}         // NOLINT
-  value(long v) : kind_(kind::number), num_(static_cast<double>(v)) {}                 // NOLINT
-  value(unsigned long v) : kind_(kind::number), num_(static_cast<double>(v)) {}        // NOLINT
-  value(long long v) : kind_(kind::number), num_(static_cast<double>(v)) {}            // NOLINT
-  value(unsigned long long v) : kind_(kind::number), num_(static_cast<double>(v)) {}   // NOLINT
+  value(int v) : value(static_cast<long long>(v)) {}          // NOLINT
+  value(unsigned v) : value(static_cast<unsigned long long>(v)) {}       // NOLINT
+  value(long v) : value(static_cast<long long>(v)) {}                    // NOLINT
+  value(unsigned long v) : value(static_cast<unsigned long long>(v)) {}  // NOLINT
+  value(long long v) : kind_(kind::number), num_(static_cast<double>(v)) {  // NOLINT
+    if (v >= 0) uint_ = static_cast<std::uint64_t>(v);
+  }
+  value(unsigned long long v)  // NOLINT
+      : kind_(kind::number), num_(static_cast<double>(v)), uint_(v) {}
   value(const char* s) : kind_(kind::string), str_(s) {}       // NOLINT
   value(std::string s) : kind_(kind::string), str_(std::move(s)) {}  // NOLINT
   value(array a) : kind_(kind::array), arr_(std::move(a)) {}         // NOLINT
@@ -74,6 +82,10 @@ class value {
   /// Checked accessors; throw std::runtime_error naming the expected kind.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
+  /// The exact value of a non-negative integer built from an integer or
+  /// parsed from a digits-only literal that fits 64 bits; nullopt for every
+  /// other value (fractions, exponents and "5.0" included).
+  [[nodiscard]] std::optional<std::uint64_t> exact_uint() const noexcept { return uint_; }
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const array& as_array() const;
   [[nodiscard]] const object& as_object() const;
@@ -95,6 +107,7 @@ class value {
   kind kind_;
   bool bool_ = false;
   double num_ = 0.0;
+  std::optional<std::uint64_t> uint_;  ///< set only for exact non-negative integers
   std::string str_;
   array arr_;
   object obj_;
@@ -106,9 +119,10 @@ class value {
 [[nodiscard]] value parse(std::string_view text);
 
 /// Serializes. `indent` = 0 emits the compact one-line form; > 0
-/// pretty-prints with that many spaces per level. Integral numbers inside
-/// +/-2^53 print without a decimal point; other finite numbers round-trip
-/// at %.17g. Throws std::runtime_error on non-finite numbers.
+/// pretty-prints with that many spaces per level. Exact integers print as
+/// their digits, other integral numbers inside +/-2^53 without a decimal
+/// point; other finite numbers round-trip at %.17g. Throws
+/// std::runtime_error on non-finite numbers.
 [[nodiscard]] std::string dump(const value& v, int indent = 0);
 
 }  // namespace mapcq::util::json

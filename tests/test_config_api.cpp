@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -58,6 +60,18 @@ TEST(json_value, numbers_dump_shortest_round_trip_form) {
   EXPECT_EQ(json::dump(json::value{0.1 + 0.2}), "0.30000000000000004");
   EXPECT_EQ(json::dump(json::value{42.0}), "42");
   EXPECT_EQ(json::dump(json::value{-7}), "-7");
+}
+
+TEST(json_value, integers_keep_all_64_bits) {
+  // 0x9e3779b97f4a7c15: a double would round it to ...8400 (2^64 > 2^53).
+  const std::uint64_t big = 0x9e3779b97f4a7c15;
+  EXPECT_EQ(json::dump(json::value{big}), "11400714819323198485");
+  EXPECT_EQ(json::parse("11400714819323198485").exact_uint(), big);
+  EXPECT_FALSE(json::parse("11400714819323198485") == json::parse("11400714819323198484"));
+  // Only digits-only literals that fit 64 bits are exact.
+  EXPECT_FALSE(json::parse("5.0").exact_uint());
+  EXPECT_FALSE(json::parse("-5").exact_uint());
+  EXPECT_FALSE(json::parse("18446744073709551616").exact_uint());
 }
 
 TEST(json_value, parse_errors_carry_line_and_column) {
@@ -414,6 +428,28 @@ TEST(config_override, bad_overrides_throw_typed_errors) {
   EXPECT_THROW(serving::apply_override(cfg, "workers.x=1"), config_error);      // scalar cursor
   // A failed override leaves the config untouched.
   EXPECT_EQ(serving::dump_config(cfg), serving::dump_config(service_config{}));
+}
+
+TEST(config_round_trip, seeds_above_2_pow_53_survive_dump_parse_and_override) {
+  constexpr std::uint64_t two53 = std::uint64_t{1} << 53;
+  for (const std::uint64_t seed : {two53, two53 + 1, std::uint64_t{0x9e3779b97f4a7c15},
+                                   std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    service_config cfg;
+    cfg.ga.seed = seed;
+    const std::string text = serving::dump_config(cfg);
+    EXPECT_NE(text.find("\"seed\": " + std::to_string(seed)), std::string::npos);
+    EXPECT_EQ(serving::parse_config(text).ga.seed, seed);
+
+    service_config overridden;
+    serving::apply_override(overridden, "ga.seed=" + std::to_string(seed));
+    EXPECT_EQ(overridden.ga.seed, seed);
+    // Every later override re-reads the whole config, the seed included.
+    serving::apply_override(overridden, "ga.generations=7");
+    EXPECT_EQ(overridden.ga.seed, seed);
+    cfg.ga.generations = 7;
+    EXPECT_EQ(serving::dump_config(overridden), serving::dump_config(cfg));
+  }
 }
 
 // --- the checked-in default config ------------------------------------------

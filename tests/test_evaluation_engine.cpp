@@ -1,12 +1,14 @@
 // Memoizing evaluation-engine tests: hash/equality identity, bit-identical
 // cached results, in-batch dedup, cross-thread in-flight dedup, async batch
 // futures, concurrent batch determinism, capacity eviction, GA cache-stat
-// accounting and evaluator failures inside a batch.
+// accounting, evaluator failures inside a batch and the lifetime of an
+// evaluator replaced by advance_epoch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -190,18 +192,6 @@ TEST_F(engine_fixture, capacity_bound_holds_with_many_shards) {
   EXPECT_GE(engine.stats().evictions, 8u);
 }
 
-TEST_F(engine_fixture, clear_drops_entries_but_keeps_counters) {
-  evaluation_engine engine{eval};
-  const auto configs = random_configs(5);
-  (void)engine.evaluate_batch(configs);
-  EXPECT_EQ(engine.size(), 5u);
-  engine.clear();
-  EXPECT_EQ(engine.size(), 0u);
-  EXPECT_EQ(engine.stats().misses, 5u);
-  (void)engine.evaluate(configs.front());
-  EXPECT_EQ(engine.stats().misses, 6u);
-}
-
 TEST_F(engine_fixture, ga_reports_cache_stats_and_matches_a_one_entry_run) {
   core::ga_options ga;
   ga.generations = 6;
@@ -257,30 +247,57 @@ TEST_F(engine_fixture, racing_threads_on_one_candidate_run_the_evaluator_once) {
   // configuration, exactly one evaluator run happens — every other caller
   // is a cache hit or joins the in-flight slot. This must hold for any
   // interleaving, so the accounting below is exact, not probabilistic.
-  evaluation_engine engine{eval};
+  // Without a pool the owning caller runs the evaluator itself; with one,
+  // its run is a pool task like every batch's.
   const configuration c = random_configs(1).front();
   const evaluation direct = eval.evaluate(c);
+  for (const std::size_t engine_threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(engine_threads);
+    engine_options opt;
+    opt.threads = engine_threads;
+    evaluation_engine engine{eval, opt};
 
-  constexpr std::size_t n_threads = 4;
-  std::atomic<bool> go{false};
-  std::vector<evaluation> results(n_threads);
-  std::vector<std::thread> threads;
-  threads.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      results[t] = engine.evaluate(c);
-    });
+    constexpr std::size_t n_threads = 4;
+    std::atomic<bool> go{false};
+    std::vector<evaluation> results(n_threads);
+    std::vector<std::thread> threads;
+    threads.reserve(n_threads);
+    for (std::size_t t = 0; t < n_threads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        results[t] = engine.evaluate(c);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+
+    for (const auto& r : results) expect_identical(r, direct);
+    const auto s = engine.stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits + s.inflight, n_threads - 1);
+    EXPECT_EQ(s.lookups(), n_threads);
+    EXPECT_EQ(engine.size(), 1u);
   }
-  go.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+}
 
-  for (const auto& r : results) expect_identical(r, direct);
-  const auto s = engine.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits + s.inflight, n_threads - 1);
-  EXPECT_EQ(s.lookups(), n_threads);
-  EXPECT_EQ(engine.size(), 1u);
+TEST_F(engine_fixture, a_replaced_evaluator_lives_until_its_last_batch_is_collected) {
+  // advance_epoch hands the engine the next evaluator; the outgoing one is
+  // owned by the batches planned against it, and by nothing else.
+  auto first = std::make_shared<const evaluator>(net, plat, core::evaluator_options{});
+  const std::weak_ptr<const evaluator> watch = first;
+  engine_options opt;
+  opt.threads = 2;
+  evaluation_engine engine{std::move(first), opt};
+
+  const auto configs = random_configs(8, 41);
+  std::future<std::vector<evaluation>> fut = engine.evaluate_batch_async(configs);
+  engine.advance_epoch(std::make_shared<const evaluator>(net, plat, core::evaluator_options{}));
+  EXPECT_FALSE(watch.expired());  // the outstanding batch still holds it
+  const auto out = fut.get();
+  EXPECT_TRUE(watch.expired());  // collected: nothing holds it any more
+  ASSERT_EQ(out.size(), configs.size());
+  for (std::size_t i = 0; i < out.size(); ++i) expect_identical(out[i], eval.evaluate(configs[i]));
+  EXPECT_EQ(engine.epoch(), 1u);
 }
 
 TEST_F(engine_fixture, async_batch_matches_sync_batch_bit_for_bit) {
@@ -328,6 +345,9 @@ TEST_F(engine_fixture, async_batch_without_pool_is_immediately_ready) {
   const auto configs = random_configs(6, 23);
   std::future<std::vector<evaluation>> fut = engine.evaluate_batch_async(configs);
   ASSERT_TRUE(fut.valid());
+  // Evaluated and published before the call returned, so a dropped future
+  // never leaves a claimed slot unrun.
+  EXPECT_EQ(engine.size(), configs.size());
   const auto out = fut.get();
   ASSERT_EQ(out.size(), configs.size());
   for (std::size_t i = 0; i < out.size(); ++i) expect_identical(out[i], eval.evaluate(configs[i]));

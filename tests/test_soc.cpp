@@ -1,11 +1,10 @@
-// Compute-unit, DVFS, platform, shared-memory and interconnect tests.
+// Compute-unit, DVFS, platform and interconnect tests.
 
 #include <gtest/gtest.h>
 
 #include "soc/compute_unit.h"
 #include "soc/dvfs.h"
 #include "soc/interconnect.h"
-#include "soc/memory.h"
 #include "soc/platform.h"
 
 namespace {
@@ -128,32 +127,6 @@ TEST(platform, dvfs_configurations_product) {
 TEST(platform, unit_out_of_range_throws) {
   const platform p = agx_xavier();
   EXPECT_THROW((void)p.unit(17), std::out_of_range);
-}
-
-TEST(shared_memory, reserve_release_cycle) {
-  shared_memory m{1000.0};
-  EXPECT_TRUE(m.fits(1000.0));
-  m.reserve(600.0);
-  EXPECT_DOUBLE_EQ(m.used_bytes(), 600.0);
-  EXPECT_FALSE(m.fits(500.0));
-  EXPECT_THROW(m.reserve(500.0), std::runtime_error);
-  m.release(200.0);
-  EXPECT_DOUBLE_EQ(m.free_bytes(), 600.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.used_bytes(), 0.0);
-}
-
-TEST(shared_memory, rejects_bad_values) {
-  EXPECT_THROW(shared_memory{0.0}, std::invalid_argument);
-  shared_memory m{10.0};
-  EXPECT_THROW(m.reserve(-1.0), std::invalid_argument);
-}
-
-TEST(shared_memory, release_clamps_at_zero) {
-  shared_memory m{10.0};
-  m.reserve(5.0);
-  m.release(100.0);
-  EXPECT_DOUBLE_EQ(m.used_bytes(), 0.0);
 }
 
 TEST(interconnect, transfer_has_base_latency) {

@@ -213,7 +213,9 @@ struct epoch_fixture : ::testing::Test {
   core::search_space space{net, plat};
   // Two models that disagree: idle-power accounting changes every energy.
   core::evaluator eval_a{net, plat, {}};
-  core::evaluator eval_b{net, plat, make_b_options()};
+  // The engine takes each later epoch's evaluator by shared_ptr.
+  std::shared_ptr<const core::evaluator> eval_b =
+      std::make_shared<const core::evaluator>(net, plat, make_b_options());
 
   static core::evaluator_options make_b_options() {
     core::evaluator_options opt;
@@ -244,7 +246,7 @@ TEST_F(epoch_fixture, epoch_tagged_cache_serves_no_stale_predictions) {
 
   for (const auto& c : configs) {
     const core::evaluation cached = engine.evaluate(c);
-    const core::evaluation direct = eval_b.evaluate(c);
+    const core::evaluation direct = eval_b->evaluate(c);
     // Must be the new model's output, not a stale epoch-0 entry.
     EXPECT_EQ(cached.avg_energy_mj, direct.avg_energy_mj);
     EXPECT_EQ(cached.objective, direct.objective);
@@ -276,7 +278,7 @@ TEST_F(epoch_fixture, inflight_batch_completes_on_the_old_model_during_a_swap) {
   }
   // New work sees the new model.
   const core::evaluation fresh = engine.evaluate(configs.front());
-  EXPECT_EQ(fresh.avg_energy_mj, eval_b.evaluate(configs.front()).avg_energy_mj);
+  EXPECT_EQ(fresh.avg_energy_mj, eval_b->evaluate(configs.front()).avg_energy_mj);
 }
 
 TEST_F(epoch_fixture, ground_truth_tap_fires_once_per_evaluator_run) {
